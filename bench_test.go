@@ -199,6 +199,30 @@ func BenchmarkDenseDPEEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkDenseDPEEncodeBatch encodes one image's worth of descriptors (29,
+// the benchmark search corpus's mean per image) in one call; ns/op divided
+// by 29 compares with BenchmarkDenseDPEEncode.
+func BenchmarkDenseDPEEncodeBatch(b *testing.B) {
+	d, err := dpe.NewDense(benchKey(), dpe.DenseParams{InDim: 64, OutDim: 512, Threshold: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ps := make([][]float64, 29)
+	for i := range ps {
+		ps[i] = make([]float64, 64)
+		for j := range ps[i] {
+			ps[i][j] = rng.Float64()
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.EncodeBatch(ps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSparseDPEEncode(b *testing.B) {
 	s := dpe.NewSparse(benchKey())
 	b.ResetTimer()

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"time"
 
 	"mie/internal/audio"
 	"mie/internal/crypto"
@@ -154,13 +157,13 @@ func (c *Client) PrepareUpdateContext(ctx context.Context, obj *Object, dataKey 
 	up := &Update{ObjectID: obj.ID, Owner: obj.Owner}
 	var encodeErr error
 	csp := sp.Child("encode")
-	c.timeCPU(device.Encrypt, func() {
+	c.timeCPU(device.Encrypt, func(fo *fanOut) {
 		up.TextTokens = c.encodeText(hist)
-		up.ImageEncodings, encodeErr = c.encodeDense(c.dense, descs)
+		up.ImageEncodings, encodeErr = c.encodeDense(c.dense, descs, fo)
 		if encodeErr != nil {
 			return
 		}
-		up.AudioEncodings, encodeErr = c.encodeDense(c.audioDense, audioDescs)
+		up.AudioEncodings, encodeErr = c.encodeDense(c.audioDense, audioDescs, fo)
 		if encodeErr != nil {
 			return
 		}
@@ -201,13 +204,13 @@ func (c *Client) PrepareQueryContext(ctx context.Context, obj *Object, k int) (*
 	q := &Query{K: k}
 	var encodeErr error
 	csp := sp.Child("encode")
-	c.timeCPU(device.Encrypt, func() {
+	c.timeCPU(device.Encrypt, func(fo *fanOut) {
 		q.TextTokens = c.encodeText(hist)
-		q.ImageEncodings, encodeErr = c.encodeDense(c.dense, descs)
+		q.ImageEncodings, encodeErr = c.encodeDense(c.dense, descs, fo)
 		if encodeErr != nil {
 			return
 		}
-		q.AudioEncodings, encodeErr = c.encodeDense(c.audioDense, audioDescs)
+		q.AudioEncodings, encodeErr = c.encodeDense(c.audioDense, audioDescs, fo)
 	})
 	csp.End()
 	if encodeErr != nil {
@@ -230,7 +233,7 @@ func DecryptObject(ciphertext []byte, dataKey crypto.Key) (*Object, error) {
 func (c *Client) extractFeatures(obj *Object) (text.Histogram, [][]float64, [][]float64) {
 	var hist text.Histogram
 	var descs, audioDescs [][]float64
-	c.timeCPU(device.Index, func() {
+	c.timeCPU(device.Index, func(*fanOut) {
 		if obj.Text != "" {
 			hist = text.Extract(obj.Text)
 		}
@@ -255,25 +258,72 @@ func (c *Client) encodeText(hist text.Histogram) map[dpe.Token]uint64 {
 	return out
 }
 
-func (c *Client) encodeDense(enc *dpe.Dense, descs [][]float64) ([]vec.BitVec, error) {
-	if len(descs) == 0 {
+// encodeBlock is the fewest descriptors worth a goroutine of their own: the
+// kernel streams each panel of A once per batch, so a much smaller share
+// pays mostly for loading the whole matrix (256 KiB for image descriptors)
+// into another core's cache.
+const encodeBlock = 8
+
+// encodeDense encodes one object's descriptors with enc.EncodeBatch, split
+// evenly over min(GOMAXPROCS, ⌈n/encodeBlock⌉) goroutines (one share runs on
+// the caller's goroutine). The split only moves work between cores: each
+// encoding is the same as a sequential EncodeBatch of all descs would give.
+// The fan-out's wall time and its workers' summed busy time go to fo.
+func (c *Client) encodeDense(enc *dpe.Dense, descs [][]float64, fo *fanOut) ([]vec.BitVec, error) {
+	n := len(descs)
+	if n == 0 {
 		return nil, nil
 	}
-	out := make([]vec.BitVec, len(descs))
-	for i, d := range descs {
-		e, err := enc.Encode(d)
-		if err != nil {
-			return nil, fmt.Errorf("core: encode descriptor %d: %w", i, err)
+	workers := min(runtime.GOMAXPROCS(0), (n+encodeBlock-1)/encodeBlock)
+	parts := make([][]vec.BitVec, workers)
+	errs := make([]error, workers)
+	busy := make([]time.Duration, workers)
+	encode := func(w int) {
+		start := time.Now()
+		parts[w], errs[w] = enc.EncodeBatch(descs[w*n/workers : (w+1)*n/workers])
+		busy[w] = time.Since(start)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			encode(w)
+		}()
+	}
+	encode(0)
+	wg.Wait()
+	fo.wall += time.Since(start)
+	out := make([]vec.BitVec, 0, n)
+	for w, part := range parts {
+		fo.busy += busy[w]
+		if errs[w] != nil {
+			return nil, fmt.Errorf("core: encode descriptors %d..%d: %w", w*n/workers, (w+1)*n/workers-1, errs[w])
 		}
-		out[i] = e
+		out = append(out, part...)
 	}
 	return out, nil
 }
 
-func (c *Client) timeCPU(cat device.Category, fn func()) {
+// fanOut records the parallel regions of a metered block: their wall time
+// and the summed busy time of their workers.
+type fanOut struct {
+	wall, busy time.Duration
+}
+
+// timeCPU runs fn and charges its CPU work to cat: fn's wall time, with the
+// wall time of any fan-out fn records in its fanOut replaced by the summed
+// busy time of that fan-out's workers. The figures' device model counts the
+// CPU work and energy an operation costs, which spreading it over cores
+// does not reduce.
+func (c *Client) timeCPU(cat device.Category, fn func(*fanOut)) {
+	var fo fanOut
 	if c.meter == nil {
-		fn()
+		fn(&fo)
 		return
 	}
-	c.meter.TimeCPU(cat, fn)
+	start := time.Now()
+	fn(&fo)
+	c.meter.AddCPU(cat, time.Since(start)-fo.wall+fo.busy)
 }

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"mie/internal/cluster"
 	"mie/internal/crypto"
+	"mie/internal/device"
 	"mie/internal/dpe"
 	"mie/internal/imaging"
 	"mie/internal/index"
@@ -124,6 +126,63 @@ func TestPrepareUpdateShape(t *testing.T) {
 	wantDescs := len(imaging.DensePyramid(32, 32, imaging.PyramidParams{Scales: []int{16}}))
 	if len(up.ImageEncodings) != wantDescs {
 		t.Errorf("got %d encodings, want %d", len(up.ImageEncodings), wantDescs)
+	}
+}
+
+// TestEncodeDenseFanOut checks that spreading a batch over goroutines hands
+// back exactly the sequential EncodeBatch result, in order, for batch sizes
+// below, at and past the per-goroutine block, and that it reports busy time.
+func TestEncodeDenseFanOut(t *testing.T) {
+	c := testClient(t)
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, encodeBlock, encodeBlock + 1, 29, 100} {
+		descs := make([][]float64, n)
+		for i := range descs {
+			descs[i] = make([]float64, imaging.DescriptorDim)
+			for j := range descs[i] {
+				descs[i][j] = rng.NormFloat64() * 0.2
+			}
+		}
+		var fo fanOut
+		got, err := c.encodeDense(c.dense, descs, &fo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.dense.EncodeBatch(descs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("n=%d: got %d encodings", n, len(got))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("n=%d: encoding %d differs from the sequential batch", n, i)
+			}
+		}
+		if fo.busy <= 0 || fo.wall <= 0 {
+			t.Errorf("n=%d: fan-out times wall=%v busy=%v, want both positive", n, fo.wall, fo.busy)
+		}
+	}
+	bad := [][]float64{make([]float64, imaging.DescriptorDim), make([]float64, 3)}
+	if _, err := c.encodeDense(c.dense, bad, &fanOut{}); !errors.Is(err, dpe.ErrBadDimension) {
+		t.Errorf("err = %v, want ErrBadDimension", err)
+	}
+}
+
+// TestTimeCPUChargesWorkerTime checks the metering rule for a fan-out: the
+// category is charged its workers' summed busy time in place of the
+// fan-out's wall time.
+func TestTimeCPUChargesWorkerTime(t *testing.T) {
+	m := device.NewMeter(device.Desktop)
+	c := &Client{meter: m}
+	c.timeCPU(device.Encrypt, func(fo *fanOut) {
+		time.Sleep(2 * time.Millisecond)
+		fo.wall += 2 * time.Millisecond
+		fo.busy += time.Second
+	})
+	if got := m.Time(device.Encrypt); got < time.Second || got > 2*time.Second {
+		t.Errorf("Encrypt charged %v, want the 1s of worker time plus the block's own time", got)
 	}
 }
 
@@ -245,6 +304,71 @@ func TestRepositoryLinearSearchBeforeTraining(t *testing.T) {
 	}
 	if sameClass < 3 {
 		t.Errorf("only %d/%d top hits from the query's class: %+v", sameClass, len(hits), hits)
+	}
+}
+
+// TestTrainedSearchRepeatsExactly runs one query 500 times against a trained
+// repository full of tied objects: a<i> and b<i> share two words and differ
+// in a third that occurs once in the corpus either way, so they tie on
+// score. Every call must return the same hits with the same scores.
+func TestTrainedSearchRepeatsExactly(t *testing.T) {
+	c := testClient(t)
+	r, err := NewRepository("ties", smallRepoOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words []string
+	for i := 0; i < 16; i++ {
+		y, z := fmt.Sprintf("yw%d", i), fmt.Sprintf("zw%d", i)
+		docs := map[string]string{
+			fmt.Sprintf("a%02d", i): fmt.Sprintf("xa%d %s %s %s %s %s", i, y, y, z, z, z),
+			fmt.Sprintf("b%02d", i): fmt.Sprintf("xb%d %s %s %s %s %s", i, y, y, z, z, z),
+		}
+		for id, txt := range docs {
+			up, err := c.PrepareUpdate(&Object{ID: id, Owner: "u", Text: txt}, testDataKey(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Update(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		words = append(words, fmt.Sprintf("xa%d xb%d %s %s", i, i, y, z))
+	}
+	for i := 0; i < 20; i++ {
+		up, err := c.PrepareUpdate(&Object{ID: fmt.Sprintf("f%02d", i), Owner: "u", Text: fmt.Sprintf("filler%d", i)}, testDataKey(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Update(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Train(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.PrepareQuery(&Object{Text: fmt.Sprint(words)}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 32 {
+		t.Fatalf("got %d hits, want 32", len(want))
+	}
+	for call := 1; call < 500; call++ {
+		got, err := r.Search(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i].ObjectID != want[i].ObjectID || got[i].Score != want[i].Score {
+				t.Fatalf("call %d: hit %d is %s (%v), first call had %s (%v)",
+					call, i, got[i].ObjectID, got[i].Score, want[i].ObjectID, want[i].Score)
+			}
+		}
 	}
 }
 

@@ -57,9 +57,19 @@ type Dense struct {
 	outDim int
 	t      float64
 	delta  float64
-	a      []float64 // outDim x inDim row-major projection matrix
-	w      []float64 // outDim dither values in [0, delta)
+	// a is the outDim x inDim projection matrix A in panel order: the first
+	// outDim/8*8 rows as 8-row panels interleaved by column,
+	// a[r*8*inDim + j*8 + k] = A[8r+k][j], then the outDim%8 leftover rows
+	// row-major. A panel feeds its eight dot products from one contiguous
+	// stream (see encodeInto).
+	a []float64
+	w []float64 // outDim dither values in [0, delta)
 }
+
+// panelRows is the height of a panel of A: the rows one panel interleaves,
+// and the bits of the encoding it fills (one byte of a word). The kernel's
+// offsets assume 8.
+const panelRows = 8
 
 // DenseParams configures Dense-DPE key generation.
 type DenseParams struct {
@@ -103,8 +113,16 @@ func NewDense(key crypto.Key, params DenseParams) (*Dense, error) {
 		w:      make([]float64, params.OutDim),
 	}
 	g := crypto.NewPRG(key, fmt.Sprintf("dense-dpe:%d:%d", params.InDim, params.OutDim))
-	for i := range d.a {
-		d.a[i] = g.NormFloat64()
+	// The PRG yields A row-major; each entry lands at its panel position.
+	n, panelled := params.InDim, params.OutDim/panelRows*panelRows
+	for i := 0; i < params.OutDim; i++ {
+		for j := 0; j < n; j++ {
+			at := i*n + j
+			if i < panelled {
+				at = i/panelRows*panelRows*n + j*panelRows + i%panelRows
+			}
+			d.a[at] = g.NormFloat64()
+		}
 	}
 	for i := range d.w {
 		d.w[i] = g.Float64() * d.delta
@@ -126,24 +144,99 @@ func (d *Dense) Threshold() float64 { return d.t }
 // under the same key, which is what leaks (only) the patterns specified by
 // the ideal functionality F_DPE.
 func (d *Dense) Encode(p []float64) (vec.BitVec, error) {
-	if len(p) != d.inDim {
-		return vec.BitVec{}, fmt.Errorf("%w: got %d, want %d", ErrBadDimension, len(p), d.inDim)
+	es, err := d.EncodeBatch([][]float64{p})
+	if err != nil {
+		return vec.BitVec{}, err
 	}
-	e := vec.NewBitVec(d.outDim)
+	return es[0], nil
+}
+
+// EncodeBatch runs ENCODE on every plaintext of ps, in order — one call per
+// object's descriptors. The encodings share one contiguous word arena, and
+// each equals what Encode returns for the same plaintext, bit for bit.
+// Safe for concurrent use: calls share only the read-only key material.
+func (d *Dense) EncodeBatch(ps [][]float64) ([]vec.BitVec, error) {
+	for i, p := range ps {
+		if len(p) != d.inDim {
+			return nil, fmt.Errorf("%w: plaintext %d has %d, want %d", ErrBadDimension, i, len(p), d.inDim)
+		}
+	}
+	stride := (d.outDim + 63) / 64
+	arena := make([]uint64, len(ps)*stride)
+	d.encodeInto(arena, stride, ps)
+	return vec.BitVecsFromArena(arena, len(ps), d.outDim)
+}
+
+// encodeInto writes the encoding of ps[i] to arena[i*stride:]. Panels run in
+// the outer loop so each 8-row panel of A (8·inDim floats) stays in cache
+// across the batch. A panel is scored in two halves of 4 rows, two columns
+// per step: 4 accumulators, 2 plaintext values and 8 products fit the 15
+// float registers Go's amd64 ABI leaves free (X15 is kept zero), where all
+// 8 rows at once spill two accumulators to the stack on every column
+// (15–20% slower). Each accumulator sums its row over j in ascending order
+// exactly as a one-row-at-a-time dot product would, so the float results
+// and the encodings do not depend on the blocking.
+func (d *Dense) encodeInto(arena []uint64, stride int, ps [][]float64) {
+	n := d.inDim
 	invDelta := 1 / d.delta
-	for i := 0; i < d.outDim; i++ {
-		row := d.a[i*d.inDim : (i+1)*d.inDim]
-		var dot float64
-		for j, x := range p {
-			dot += row[j] * x
-		}
-		q := int64(math.Floor((dot + d.w[i]) * invDelta))
-		// Q(.) quantizes [2v, 2v+1) -> 1 and [2v+1, 2v+2) -> 0: even floor -> 1.
-		if q&1 == 0 {
-			e.Set(i, true)
+	panels := d.outDim / panelRows
+	for r := 0; r < panels; r++ {
+		panel := d.a[r*panelRows*n : (r+1)*panelRows*n]
+		w := d.w[r*panelRows : (r+1)*panelRows]
+		word, shift := r*panelRows/64, uint(r*panelRows%64)
+		for i, p := range ps {
+			var bits uint64
+			for h := 0; h < panelRows; h += 4 {
+				var s0, s1, s2, s3 float64
+				j := 0
+				for ; j+1 < len(p); j += 2 {
+					// c[0:4] is rows h..h+3 at column j, c[8:12] the
+					// same rows at column j+1.
+					x0, x1 := p[j], p[j+1]
+					at := j*panelRows + h
+					c := panel[at : at+12 : at+12]
+					s0 += c[0] * x0
+					s1 += c[1] * x0
+					s2 += c[2] * x0
+					s3 += c[3] * x0
+					s0 += c[8] * x1
+					s1 += c[9] * x1
+					s2 += c[10] * x1
+					s3 += c[11] * x1
+				}
+				if j < len(p) {
+					x := p[j]
+					at := j*panelRows + h
+					c := panel[at : at+4 : at+4]
+					s0 += c[0] * x
+					s1 += c[1] * x
+					s2 += c[2] * x
+					s3 += c[3] * x
+				}
+				bits |= (quantBit(s0, w[h], invDelta) |
+					quantBit(s1, w[h+1], invDelta)<<1 |
+					quantBit(s2, w[h+2], invDelta)<<2 |
+					quantBit(s3, w[h+3], invDelta)<<3) << uint(h)
+			}
+			arena[i*stride+word] |= bits << shift
 		}
 	}
-	return e, nil
+	for row := panels * panelRows; row < d.outDim; row++ {
+		a := d.a[row*n : (row+1)*n]
+		for i, p := range ps {
+			var dot float64
+			for j, x := range p {
+				dot += a[j] * x
+			}
+			arena[i*stride+row/64] |= quantBit(dot, d.w[row], invDelta) << uint(row%64)
+		}
+	}
+}
+
+// quantBit is the universal quantizer Q(Δ⁻¹(dot + w)): it maps
+// [2v, 2v+1) -> 1 and [2v+1, 2v+2) -> 0, i.e. an even floor encodes 1.
+func quantBit(dot, w, invDelta float64) uint64 {
+	return ^uint64(int64(math.Floor((dot+w)*invDelta))) & 1
 }
 
 // Distance runs Dense-DPE DISTANCE on two encodings. It returns a value that

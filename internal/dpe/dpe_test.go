@@ -2,8 +2,10 @@ package dpe
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -367,4 +369,152 @@ func TestDenseDistanceSymmetricProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refDense is the reference oracle for the encoding kernel: Dense-DPE KEYGEN
+// and ENCODE as first written, with A kept row-major and one dependent
+// dot-product chain per output bit. The kernel must match it bit for bit.
+type refDense struct {
+	inDim, outDim int
+	delta         float64
+	a, w          []float64
+}
+
+func newRefDense(key crypto.Key, inDim, outDim int, threshold float64) *refDense {
+	d := &refDense{
+		inDim:  inDim,
+		outDim: outDim,
+		delta:  slopeConst * (threshold / 0.5),
+		a:      make([]float64, outDim*inDim),
+		w:      make([]float64, outDim),
+	}
+	g := crypto.NewPRG(key, fmt.Sprintf("dense-dpe:%d:%d", inDim, outDim))
+	for i := range d.a {
+		d.a[i] = g.NormFloat64()
+	}
+	for i := range d.w {
+		d.w[i] = g.Float64() * d.delta
+	}
+	return d
+}
+
+func (d *refDense) encode(p []float64) vec.BitVec {
+	e := vec.NewBitVec(d.outDim)
+	invDelta := 1 / d.delta
+	for i := 0; i < d.outDim; i++ {
+		row := d.a[i*d.inDim : (i+1)*d.inDim]
+		var dot float64
+		for j, x := range p {
+			dot += row[j] * x
+		}
+		q := int64(math.Floor((dot + d.w[i]) * invDelta))
+		if q&1 == 0 {
+			e.Set(i, true)
+		}
+	}
+	return e
+}
+
+// TestDenseKernelMatchesReference checks Encode and EncodeBatch against the
+// row-at-a-time oracle over random plaintexts, for dimensions that fill
+// whole panels and words and for ones that leave leftover rows and a partial
+// last word (the 32-dim audio descriptors among them), and for batch sizes
+// around the panel width.
+func TestDenseKernelMatchesReference(t *testing.T) {
+	dims := []struct{ in, out int }{
+		{64, 512},  // image descriptors, default OutDim
+		{32, 256},  // audio descriptors, default OutDim
+		{32, 100},  // leftover rows, partial last word
+		{7, 13},    // fewer rows than two panels
+		{5, 3},     // no full panel at all
+		{65, 2049}, // long rows, one bit past a word
+	}
+	rng := rand.New(rand.NewSource(12))
+	for _, dim := range dims {
+		t.Run(fmt.Sprintf("%dx%d", dim.in, dim.out), func(t *testing.T) {
+			key := testKey(byte(dim.in))
+			d, err := NewDense(key, DenseParams{InDim: dim.in, OutDim: dim.out, Threshold: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefDense(key, dim.in, dim.out, 0.5)
+			for _, n := range []int{0, 1, 7, 8, 29} {
+				ps := make([][]float64, n)
+				for i := range ps {
+					ps[i] = make([]float64, dim.in)
+					for j := range ps[i] {
+						ps[i][j] = rng.NormFloat64() * 0.3
+					}
+				}
+				batch, err := d.EncodeBatch(ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(batch) != n {
+					t.Fatalf("batch of %d: got %d encodings", n, len(batch))
+				}
+				for i, p := range ps {
+					want := ref.encode(p)
+					one, err := d.Encode(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !one.Equal(want) {
+						t.Fatalf("batch of %d: Encode(ps[%d]) differs from the reference", n, i)
+					}
+					if !batch[i].Equal(want) {
+						t.Fatalf("batch of %d: EncodeBatch[%d] differs from the reference", n, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestDenseEncodeBatchDimensionCheck(t *testing.T) {
+	d := newTestDense(t, 0.5)
+	ps := [][]float64{make([]float64, 64), make([]float64, 63)}
+	if _, err := d.EncodeBatch(ps); !errors.Is(err, ErrBadDimension) {
+		t.Errorf("err = %v, want ErrBadDimension", err)
+	}
+}
+
+// TestDenseEncodeBatchConcurrent runs EncodeBatch from several goroutines on
+// one shared Dense (run it with -race): every call must see only read-only
+// key material and return the sequential answer.
+func TestDenseEncodeBatchConcurrent(t *testing.T) {
+	d, err := NewDense(testKey(3), DenseParams{InDim: 64, OutDim: 512, Threshold: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ps := make([][]float64, 29)
+	for i := range ps {
+		ps[i], _ = randomPair(rng, 64, 0)
+	}
+	want, err := d.EncodeBatch(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				got, err := d.EncodeBatch(ps)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if !got[i].Equal(want[i]) {
+						t.Errorf("concurrent EncodeBatch[%d] differs", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -9,12 +9,12 @@
 package index
 
 import (
-	"container/heap"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -286,23 +286,40 @@ func (ix *Inverted) Search(query map[Term]uint64, k int) []Result {
 		avgLen = float64(ix.totalLen) / float64(ix.docCount)
 	}
 	scores := make(map[DocID]float64)
-	for term, qf := range query {
-		pl := ix.postings[term]
-		if len(pl) == 0 && ix.spilled[term] == 0 {
+	for _, term := range sortedTerms(query) {
+		df := ix.docFreqLocked(term)
+		if df == 0 {
 			continue
 		}
-		df := ix.docFreqLocked(term)
-		for doc, tf := range pl {
-			var w float64
-			if ix.opts.Ranking == RankBM25 {
-				w = text.BM25(tf, ix.docCount, df, float64(ix.docLens[doc]), avgLen, 0, 0)
-			} else {
-				w = text.TFIDF(tf, ix.docCount, df)
+		qf := float64(query[term])
+		if ix.opts.Ranking == RankBM25 {
+			idf := text.BM25IDF(ix.docCount, df)
+			for doc, tf := range ix.postings[term] {
+				w := text.BM25Weight(tf, idf, float64(ix.docLens[doc]), avgLen, 0, 0)
+				scores[doc] += qf * w
 			}
-			scores[doc] += float64(qf) * w
+			continue
+		}
+		idf := text.IDF(ix.docCount, df)
+		for doc, tf := range ix.postings[term] {
+			w := float64(tf) * idf
+			scores[doc] += qf * w
 		}
 	}
 	return TopK(scores, k)
+}
+
+// sortedTerms returns the query's terms in ascending order. Ranking adds up
+// each document's per-term weights in this order: floating-point addition
+// is not associative, so summing in map order could score one document
+// differently on two calls and reorder near-tied hits.
+func sortedTerms(query map[Term]uint64) []Term {
+	terms := make([]Term, 0, len(query))
+	for term := range query {
+		terms = append(terms, term)
+	}
+	slices.Sort(terms)
+	return terms
 }
 
 // Merge compacts the spill log: postings of removed documents are dropped
@@ -351,30 +368,32 @@ func (ix *Inverted) Merge() error {
 // ties by DocID for determinism. Non-positive scores are dropped. Exported so
 // every ranked-scan path — index lookups, the engines' linear fallbacks, the
 // ANN re-rank — truncates through the same selection with the same tie-break.
+// A non-positive k selects nothing.
 func TopK(scores map[DocID]float64, k int) []Result {
-	h := &resultHeap{}
-	heap.Init(h)
+	if k <= 0 {
+		return nil
+	}
+	h := make([]Result, 0, min(k, len(scores)))
 	for doc, s := range scores {
 		if s <= 0 {
 			continue
 		}
 		r := Result{Doc: doc, Score: s}
-		if h.Len() < k {
-			heap.Push(h, r)
-		} else if less((*h)[0], r) {
-			(*h)[0] = r
-			heap.Fix(h, 0)
+		if len(h) < k {
+			h = append(h, r)
+			siftUp(h, len(h)-1)
+		} else if less(h[0], r) {
+			h[0] = r
+			siftDown(h, 0)
 		}
 	}
-	out := make([]Result, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		r, ok := heap.Pop(h).(Result)
-		if !ok {
-			break // unreachable: heap only holds Results
-		}
-		out[i] = r
+	// Heap-sort in place: moving each minimum to the back leaves the
+	// results in descending order.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
 	}
-	return out
+	return h
 }
 
 // less orders results ascending: by score, then by DocID (reversed so that
@@ -386,18 +405,35 @@ func less(a, b Result) bool {
 	return a.Doc > b.Doc
 }
 
-type resultHeap []Result
+// siftUp and siftDown maintain h as a min-heap under less (the smallest
+// kept result at the root), written out rather than through container/heap
+// so the comparisons are direct calls.
+func siftUp(h []Result, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
 
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return less(h[i], h[j]) }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func siftDown(h []Result, i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && less(h[l], h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && less(h[r], h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // SortResults orders results descending by score (ties by DocID ascending),

@@ -330,37 +330,49 @@ func (s *Segmented) Lookup(query map[Term]uint64, k int) []Result {
 		avgLen = float64(s.totalLen) / float64(docCount)
 	}
 	segs := s.segmentsLocked()
-	type post struct {
-		doc    DocID
-		tf     uint64
-		docLen float64
+	bm25 := s.opts.Index.Ranking == RankBM25
+	// With no tombstoned versions left, every indexed document is live in
+	// the one segment holding it, and postings need no owner check.
+	owner := s.owner
+	if s.dead == 0 {
+		owner = nil
 	}
-	var posts []post
-	scores := make(map[DocID]float64)
-	for term, qf := range query {
+	// Size the score map once for the most documents the postings can
+	// touch: growing it posting by posting costs more than the scoring.
+	terms := sortedTerms(query)
+	touched := 0
+	for _, term := range terms {
+		for _, seg := range segs {
+			touched += seg.idx.PostingsLen(term)
+		}
+	}
+	scores := make(map[DocID]float64, min(touched, docCount))
+	var posts []posting
+	for _, term := range terms {
 		posts = posts[:0]
 		df := 0
 		for _, seg := range segs {
-			for doc, tf := range seg.idx.postingsView(term) {
-				if own, ok := s.owner[doc]; !ok || own != seg.id {
-					continue // tombstoned or superseded version
-				}
-				posts = append(posts, post{doc: doc, tf: tf, docLen: float64(seg.idx.docLenView(doc))})
-			}
-			df += seg.idx.spilledView(term)
+			var spilled int
+			posts, spilled = seg.idx.appendLivePostings(posts, term, owner, seg.id, bm25)
+			df += spilled
 		}
 		df += len(posts)
 		if df == 0 {
 			continue
 		}
-		for _, p := range posts {
-			var w float64
-			if s.opts.Index.Ranking == RankBM25 {
-				w = text.BM25(p.tf, docCount, df, p.docLen, avgLen, 0, 0)
-			} else {
-				w = text.TFIDF(p.tf, docCount, df)
+		qf := float64(query[term])
+		if bm25 {
+			idf := text.BM25IDF(docCount, df)
+			for _, p := range posts {
+				w := text.BM25Weight(p.tf, idf, p.docLen, avgLen, 0, 0)
+				scores[p.doc] += qf * w
 			}
-			scores[p.doc] += float64(qf) * w
+			continue
+		}
+		idf := text.IDF(docCount, df)
+		for _, p := range posts {
+			w := float64(p.tf) * idf
+			scores[p.doc] += qf * w
 		}
 	}
 	return TopK(scores, k)
@@ -562,14 +574,35 @@ func (s *Segmented) Close() error {
 
 // --- read views used by the facade ---------------------------------------
 
-// postingsView returns the internal posting map for term. Callers must treat
-// it as read-only and must hold a lock that excludes writers to this segment
-// (the facade read lock does: all facade writes take the write lock, and
-// sealed segments are immutable).
-func (ix *Inverted) postingsView(term Term) map[DocID]uint64 {
+// posting is one live posting gathered for scoring.
+type posting struct {
+	doc    DocID
+	tf     uint64
+	docLen float64 // set only when the ranking reads it (BM25)
+}
+
+// appendLivePostings appends the in-memory postings of term whose document
+// version lives in segment seg according to owner (skipping tombstoned or
+// superseded versions; a nil owner keeps every posting), with doc lengths
+// when withLen, and returns them with the term's spilled posting count — all
+// under one read lock of this segment. Callers must hold a lock that
+// excludes writers to owner (the facade read lock does).
+func (ix *Inverted) appendLivePostings(dst []posting, term Term, owner map[DocID]int, seg int, withLen bool) ([]posting, int) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.postings[term]
+	for doc, tf := range ix.postings[term] {
+		if owner != nil {
+			if own, ok := owner[doc]; !ok || own != seg {
+				continue
+			}
+		}
+		p := posting{doc: doc, tf: tf}
+		if withLen {
+			p.docLen = float64(ix.docLens[doc])
+		}
+		dst = append(dst, p)
+	}
+	return dst, ix.spilled[term]
 }
 
 // docLenView returns the stored length of doc (0 if absent).
@@ -577,13 +610,6 @@ func (ix *Inverted) docLenView(doc DocID) uint64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.docLens[doc]
-}
-
-// spilledView returns the on-disk posting count for term.
-func (ix *Inverted) spilledView(term Term) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.spilled[term]
 }
 
 // liveDocs reconstructs the full term-frequency map of every document

@@ -465,3 +465,36 @@ func TestSegmentedConcurrentOpsDuringCompaction(t *testing.T) {
 		t.Errorf("final compaction left %d sealed segments", st.SealedSegments)
 	}
 }
+
+// BenchmarkSegmentedLookup ranks an image query against an index shaped
+// like the benchmark search corpus after Train: 480 documents of 29 visual
+// words each over a 200-word vocabulary, in one sealed segment. The query
+// has 29 words too (one per descriptor), top 100 (the fusion depth of k=10).
+func BenchmarkSegmentedLookup(b *testing.B) {
+	seg, err := NewSegmented(SegmentedOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer seg.Close()
+	rng := rand.New(rand.NewSource(3))
+	words := func() map[Term]uint64 {
+		terms := make(map[Term]uint64, 29)
+		for j := 0; j < 29; j++ {
+			terms[Term(fmt.Sprintf("img:%d", rng.Intn(200)))]++
+		}
+		return terms
+	}
+	for i := 0; i < 480; i++ {
+		if err := seg.Add(DocID(fmt.Sprintf("obj-%d", i)), words()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := seg.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	query := words()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg.Lookup(query, 100)
+	}
+}

@@ -117,3 +117,35 @@ func TestAdmissionKeysOnTokenPrincipal(t *testing.T) {
 		t.Errorf("anonymous rejected by alice's quota: %v", err)
 	}
 }
+
+// TestAdmissionSlotFreedBeforeReply pins the order of release and reply: a
+// request's admission slot is free by the time its reply reaches the client,
+// so a sequential client holding a quota of one never meets its own
+// previous request. The test takes the slot itself after every reply; if
+// the server released it only after writing, some of these would fail.
+func TestAdmissionSlotFreedBeforeReply(t *testing.T) {
+	leakcheck.Check(t)
+	svc, _, err := core.OpenService(core.ServiceOptions{Quotas: core.Quotas{MaxInflight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New("127.0.0.1:0", svc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	conn := dial(t, srv, nil)
+	if err := conn.CreateRepository(testCtx, "adm3", smallOpts()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := conn.Get(testCtx, "adm3", "x"); errors.Is(err, core.ErrOverQuota) {
+			t.Fatalf("request %d rejected by the client's own previous request: %v", i, err)
+		}
+		release, err := svc.Tenants().Admit("anonymous")
+		if err != nil {
+			t.Fatalf("after reply %d the slot is still held: %v", i, err)
+		}
+		release()
+	}
+}

@@ -472,6 +472,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 		return s.forwardRequest(ctx, cs, env)
 	}
 
+	rq := &request{sp: sp, kind: kind, cs: cs, id: env.ID}
 	// Per-tenant admission: repository-scoped requests count against the
 	// caller's in-flight quota before any engine work runs, so one hot
 	// tenant saturating the server cannot starve the others. The rejection
@@ -480,9 +481,10 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 	if gov := s.svc.Tenants(); gov != nil && repoScoped(kind) {
 		release, aerr := gov.Admit(principal(env.Auth))
 		if aerr != nil {
-			return s.writeKindError(sp, kind, cs, env.ID, aerr)
+			return s.writeKindError(rq, aerr)
 		}
-		defer release()
+		rq.release = release
+		defer rq.free()
 	}
 
 	switch kind {
@@ -500,7 +502,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 				_, err = s.svc.CreateRepository(req.RepoID, req.Opts.ToCore())
 			})
 		}
-		return s.writeAck(sp, kind, cs, env.ID, err)
+		return s.writeAck(rq, err)
 
 	case wire.KindTrain:
 		// v1 blocking semantics on top of the async job table: start (or
@@ -523,7 +525,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
-		return s.writeAck(sp, kind, cs, env.ID, err)
+		return s.writeAck(rq, err)
 
 	case wire.KindTrainStart:
 		var req wire.TrainReq
@@ -542,7 +544,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 				}
 			})
 		}
-		return s.writeTrainJobResp(sp, kind, cs, env.ID, st, err)
+		return s.writeTrainJobResp(rq, st, err)
 
 	case wire.KindTrainStatus, wire.KindTrainWait:
 		var req wire.TrainJobReq
@@ -571,7 +573,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
-		return s.writeTrainJobResp(sp, kind, cs, env.ID, st, err)
+		return s.writeTrainJobResp(rq, st, err)
 
 	case wire.KindUpdate:
 		var req wire.UpdateReq
@@ -592,7 +594,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
-		return s.writeAck(sp, kind, cs, env.ID, err)
+		return s.writeAck(rq, err)
 
 	case wire.KindRemove:
 		var req wire.RemoveReq
@@ -613,7 +615,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
-		return s.writeAck(sp, kind, cs, env.ID, err)
+		return s.writeAck(rq, err)
 
 	case wire.KindSearch:
 		var req wire.SearchReq
@@ -643,7 +645,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 				hits, err = nil, ctx.Err()
 			}
 		}
-		return s.writeSearchResp(sp, kind, cs, env.ID, hits, err)
+		return s.writeSearchResp(rq, hits, err)
 
 	case wire.KindGet:
 		var req wire.GetReq
@@ -666,7 +668,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			}
 			esp.End()
 		}
-		return s.writeGetResp(sp, kind, cs, env.ID, ct, owner, err)
+		return s.writeGetResp(rq, ct, owner, err)
 
 	case wire.KindTraceGet:
 		// Hand the client the server-side half of its own trace. Trace ids
@@ -699,20 +701,42 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 		} else {
 			resp.Err = err.Error()
 		}
-		rsp := sp.Child("reply")
-		n, werr := cs.write(env.ID, wire.KindTraceResp, resp)
-		s.met.txBytes.Add(int64(n))
-		rsp.End()
-		return werr
+		return s.reply(rq, wire.KindTraceResp, resp)
 
 	default:
 		s.countOpError(kind, errors.New("unknown kind"))
-		rsp := sp.Child("reply")
-		n, err := cs.write(env.ID, wire.KindError, wire.Ack{Err: "unknown kind: " + kind})
-		s.met.txBytes.Add(int64(n))
-		rsp.End()
-		return err
+		return s.reply(rq, wire.KindError, wire.Ack{Err: "unknown kind: " + kind})
 	}
+}
+
+// request is what the response writers need of the request they answer.
+type request struct {
+	sp   *obs.Span
+	kind string
+	cs   *connState
+	id   uint64
+	// release frees the request's admission slot, if it took one.
+	release func()
+}
+
+// free releases the request's admission slot, once.
+func (r *request) free() {
+	if r.release != nil {
+		r.release()
+		r.release = nil
+	}
+}
+
+// reply writes the one response frame of rq under a reply phase span. The
+// admission slot is freed before the frame goes out: a client may send its
+// next request the moment this reply arrives, and must find its slot free.
+func (s *Server) reply(rq *request, respKind string, v interface{}) error {
+	rq.free()
+	rsp := rq.sp.Child("reply")
+	defer rsp.End()
+	n, err := rq.cs.write(rq.id, respKind, v)
+	s.met.txBytes.Add(int64(n))
+	return err
 }
 
 // decode unpacks the request payload under a decode phase span.
@@ -770,16 +794,16 @@ func principal(token string) string {
 // writeKindError writes the kind-appropriate error response (admission
 // rejections happen before the request switch, so the reply type must be
 // chosen from the kind alone).
-func (s *Server) writeKindError(sp *obs.Span, kind string, cs *connState, id uint64, err error) error {
-	switch kind {
+func (s *Server) writeKindError(rq *request, err error) error {
+	switch rq.kind {
 	case wire.KindSearch:
-		return s.writeSearchResp(sp, kind, cs, id, nil, err)
+		return s.writeSearchResp(rq, nil, err)
 	case wire.KindGet:
-		return s.writeGetResp(sp, kind, cs, id, nil, "", err)
+		return s.writeGetResp(rq, nil, "", err)
 	case wire.KindTrainStart, wire.KindTrainStatus, wire.KindTrainWait:
-		return s.writeTrainJobResp(sp, kind, cs, id, core.TrainJobStatus{}, err)
+		return s.writeTrainJobResp(rq, core.TrainJobStatus{}, err)
 	default:
-		return s.writeAck(sp, kind, cs, id, err)
+		return s.writeAck(rq, err)
 	}
 }
 
@@ -793,59 +817,45 @@ func (s *Server) countOpError(kind string, err error) {
 	s.logger.Debug("request failed", "kind", kind, "err", err)
 }
 
-func (s *Server) writeAck(sp *obs.Span, kind string, cs *connState, id uint64, err error) error {
-	s.countOpError(kind, err)
-	sp.SetError(err)
-	rsp := sp.Child("reply")
-	defer rsp.End()
+func (s *Server) writeAck(rq *request, err error) error {
+	s.countOpError(rq.kind, err)
+	rq.sp.SetError(err)
 	ack := wire.Ack{}
 	if err != nil {
 		ack.Err = err.Error()
 		code, ra := wire.ErrCode(err)
 		ack.Code, ack.RetryAfterNanos = code, ra.Nanoseconds()
 	}
-	n, werr := cs.write(id, wire.KindAck, ack)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	return s.reply(rq, wire.KindAck, ack)
 }
 
-func (s *Server) writeSearchResp(sp *obs.Span, kind string, cs *connState, id uint64, hits []core.SearchHit, err error) error {
-	s.countOpError(kind, err)
-	sp.SetError(err)
-	rsp := sp.Child("reply")
-	defer rsp.End()
+func (s *Server) writeSearchResp(rq *request, hits []core.SearchHit, err error) error {
+	s.countOpError(rq.kind, err)
+	rq.sp.SetError(err)
 	resp := wire.SearchResp{Hits: hits}
 	if err != nil {
 		resp.Err = err.Error()
 		code, ra := wire.ErrCode(err)
 		resp.Code, resp.RetryAfterNanos = code, ra.Nanoseconds()
 	}
-	n, werr := cs.write(id, wire.KindSearchResp, resp)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	return s.reply(rq, wire.KindSearchResp, resp)
 }
 
-func (s *Server) writeGetResp(sp *obs.Span, kind string, cs *connState, id uint64, ct []byte, owner string, err error) error {
-	s.countOpError(kind, err)
-	sp.SetError(err)
-	rsp := sp.Child("reply")
-	defer rsp.End()
+func (s *Server) writeGetResp(rq *request, ct []byte, owner string, err error) error {
+	s.countOpError(rq.kind, err)
+	rq.sp.SetError(err)
 	resp := wire.GetResp{Ciphertext: ct, Owner: owner}
 	if err != nil {
 		resp.Err = err.Error()
 		code, ra := wire.ErrCode(err)
 		resp.Code, resp.RetryAfterNanos = code, ra.Nanoseconds()
 	}
-	n, werr := cs.write(id, wire.KindGetResp, resp)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	return s.reply(rq, wire.KindGetResp, resp)
 }
 
-func (s *Server) writeTrainJobResp(sp *obs.Span, kind string, cs *connState, id uint64, st core.TrainJobStatus, err error) error {
-	s.countOpError(kind, err)
-	sp.SetError(err)
-	rsp := sp.Child("reply")
-	defer rsp.End()
+func (s *Server) writeTrainJobResp(rq *request, st core.TrainJobStatus, err error) error {
+	s.countOpError(rq.kind, err)
+	rq.sp.SetError(err)
 	resp := wire.TrainJobResp{Job: wire.TrainJobStatus{
 		JobID: st.JobID,
 		State: string(st.State),
@@ -857,7 +867,5 @@ func (s *Server) writeTrainJobResp(sp *obs.Span, kind string, cs *connState, id 
 		code, ra := wire.ErrCode(err)
 		resp.Code, resp.RetryAfterNanos = code, ra.Nanoseconds()
 	}
-	n, werr := cs.write(id, wire.KindTrainJobResp, resp)
-	s.met.txBytes.Add(int64(n))
-	return werr
+	return s.reply(rq, wire.KindTrainJobResp, resp)
 }

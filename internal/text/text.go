@@ -109,14 +109,24 @@ func (h Histogram) TotalFreq() uint64 {
 // frequency, N the corpus size and df the number of documents containing
 // the term. df == 0 or N == 0 yields 0.
 func TFIDF(tf uint64, docCount, docFreq int) float64 {
-	if tf == 0 || docFreq <= 0 || docCount <= 0 {
+	if tf == 0 {
+		return 0
+	}
+	return float64(tf) * IDF(docCount, docFreq)
+}
+
+// IDF is the inverse document frequency TFIDF weighs by: log(N/df), floored
+// at 0, and 0 when df or N is not positive. A ranking loop computes it once
+// per query term; float64(tf)*IDF(N, df) is then TFIDF(tf, N, df) exactly.
+func IDF(docCount, docFreq int) float64 {
+	if docFreq <= 0 || docCount <= 0 {
 		return 0
 	}
 	idf := math.Log(float64(docCount) / float64(docFreq))
 	if idf < 0 {
 		idf = 0
 	}
-	return float64(tf) * idf
+	return idf
 }
 
 // BM25 is an alternative weighting function (paper: "more complex functions
@@ -126,6 +136,17 @@ func BM25(tf uint64, docCount, docFreq int, docLen, avgDocLen float64, k1, b flo
 	if tf == 0 || docFreq <= 0 || docCount <= 0 {
 		return 0
 	}
+	return BM25Weight(tf, BM25IDF(docCount, docFreq), docLen, avgDocLen, k1, b)
+}
+
+// BM25IDF is BM25's inverse document frequency, log(1 + (N-df+0.5)/(df+0.5)).
+// With it computed once per query term, BM25Weight gives BM25 exactly.
+func BM25IDF(docCount, docFreq int) float64 {
+	return math.Log(1 + (float64(docCount)-float64(docFreq)+0.5)/(float64(docFreq)+0.5))
+}
+
+// BM25Weight is BM25 for a term whose BM25IDF is idf.
+func BM25Weight(tf uint64, idf, docLen, avgDocLen, k1, b float64) float64 {
 	if k1 == 0 {
 		k1 = 1.2
 	}
@@ -135,7 +156,6 @@ func BM25(tf uint64, docCount, docFreq int, docLen, avgDocLen float64, k1, b flo
 	if avgDocLen <= 0 {
 		avgDocLen = 1
 	}
-	idf := math.Log(1 + (float64(docCount)-float64(docFreq)+0.5)/(float64(docFreq)+0.5))
 	tff := float64(tf)
 	return idf * (tff * (k1 + 1)) / (tff + k1*(1-b+b*docLen/avgDocLen))
 }

@@ -157,6 +157,26 @@ func BitVecFromWords(words []uint64, n int) (BitVec, error) {
 	return BitVec{words: w, n: n}, nil
 }
 
+// BitVecsFromArena slices a contiguous word arena into count bit vectors of
+// n bits each, in order, without copying: vector i aliases the arena's words
+// [i*stride, (i+1)*stride) with stride = ceil(n/64), so the arena must not be
+// written afterwards. Bits beyond n in each vector's last word are cleared.
+func BitVecsFromArena(arena []uint64, count, n int) ([]BitVec, error) {
+	stride := (n + 63) / 64
+	if count < 0 || n < 0 || len(arena) != count*stride {
+		return nil, fmt.Errorf("vec: BitVecsFromArena: got %d words, need %d for %d vectors of %d bits", len(arena), count*stride, count, n)
+	}
+	out := make([]BitVec, count)
+	for i := range out {
+		w := arena[i*stride : (i+1)*stride : (i+1)*stride]
+		if n%64 != 0 {
+			w[stride-1] &= (uint64(1) << uint(n%64)) - 1
+		}
+		out[i] = BitVec{words: w, n: n}
+	}
+	return out, nil
+}
+
 // Len returns the number of bits.
 func (b BitVec) Len() int { return b.n }
 

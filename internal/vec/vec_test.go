@@ -191,6 +191,30 @@ func TestBitVecFromWordsValidation(t *testing.T) {
 	}
 }
 
+func TestBitVecsFromArena(t *testing.T) {
+	if _, err := BitVecsFromArena(make([]uint64, 3), 2, 100); err == nil {
+		t.Error("expected error for wrong arena size")
+	}
+	arena := []uint64{^uint64(0), ^uint64(0), 5, 1<<8 | 1}
+	vs, err := BitVecsFromArena(arena, 2, 72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 2 || vs[0].Len() != 72 || vs[1].Len() != 72 {
+		t.Fatalf("got %d vectors", len(vs))
+	}
+	// Each vector's tail bits are masked; the vectors alias the arena.
+	if vs[0].OnesCount() != 72 || !vs[1].Get(0) || !vs[1].Get(2) || !vs[1].Get(64) || vs[1].OnesCount() != 3 {
+		t.Errorf("vectors = %v %v", vs[0].Words(), vs[1].Words())
+	}
+	if arena[1] != 0xff {
+		t.Errorf("arena[1] = %#x, want the masked tail 0xff", arena[1])
+	}
+	if none, err := BitVecsFromArena(nil, 0, 512); err != nil || len(none) != 0 {
+		t.Errorf("empty arena: %v, %v", none, err)
+	}
+}
+
 func TestHammingSymmetricProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -38,6 +38,12 @@ go test -run 'TestEngineLayersDoNotImportTransport|TestIndexAndClusterDoNotImpor
 
 go test -race -shuffle=on -cover ./...
 
+# Repeat pass: a second shuffled run in one process surfaces state that
+# leaks between runs of a test (process-global counters, slots held past a
+# reply) and order dependence the single pass above can miss. Packages join
+# this list once they pass it; a failure is fixed in the code.
+go test -race -count=2 -shuffle=on ./internal/dpe ./internal/vec ./internal/index ./internal/device ./internal/server
+
 # Incremental-training smoke (~seconds at quick scale, well under its 30 s
 # budget): retrain-after-churn must keep resolving through the incremental
 # path, not silently fall back to full rebuilds. INCSMOKE=0 skips.
