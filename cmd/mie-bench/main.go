@@ -56,7 +56,7 @@ func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run: all, table1, table2, fig2, fig3, fig4, fig5, fig6, table3, attack, ablations, none")
 	obsOut := flag.String("obs-out", "BENCH_obs.json", "write the metrics registry snapshot as JSON to this file (empty = skip)")
 	parallel := flag.Int("parallel", 0, "run the concurrent-search benchmark with up to N search clients (0 = skip)")
-	singleConn := flag.Bool("single-conn", false, "with -parallel, also compare wire transports over TCP: v1 lockstep and v2 mux on one shared connection vs one v2 connection per client")
+	singleConn := flag.Bool("single-conn", false, "with -parallel, also compare wire transports over TCP: lockstep (one request in flight) and mux on one shared connection vs one connection per client")
 	concOut := flag.String("concurrency-out", "BENCH_concurrency.json", "write the concurrent-search report as JSON to this file")
 	persistence := flag.Bool("persistence", false, "run the durability benchmark: WAL append/fsync throughput per sync policy, snapshot and recovery cost")
 	persistOut := flag.String("persistence-out", "BENCH_persistence.json", "write the durability report as JSON to this file")

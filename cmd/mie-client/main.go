@@ -71,7 +71,7 @@ func main() {
 		// The client-side half of the paper's latency split: prepare/encode
 		// phase spans plus per-kind network round-trip histograms.
 		fmt.Fprintln(os.Stderr, "--- client metrics ---")
-		_ = obs.Default().WriteMetrics(os.Stderr)
+		_ = obs.Default().WritePrometheus(os.Stderr)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mie-client:", err)

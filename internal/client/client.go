@@ -3,16 +3,14 @@
 // each exchange to a device.Meter so the figures' Network sub-operation can
 // be attributed per call.
 //
-// A Conn negotiates protocol v2 at dial time and then multiplexes: one
-// writer goroutine serializes outgoing frames, one reader goroutine demuxes
-// responses by request ID, and any number of callers share the single TCP
-// connection with their requests in flight concurrently — sixteen pipelined
-// searches cost one connection, not sixteen. Deadlines on the caller's
-// context ride along on the wire, and canceling a context mid-call emits a
-// best-effort Cancel frame so the server can abandon the work. Against a v1
-// server (which answers the hello with an "unknown kind" error) the Conn
-// falls back to lockstep framing: one request in flight at a time, exactly
-// the v1 contract.
+// A Conn opens each TCP connection with the protocol handshake
+// (wire.Handshake) and then multiplexes: one writer goroutine serializes
+// outgoing frames, one reader goroutine demuxes responses by request ID, and
+// any number of callers share the single TCP connection with their requests
+// in flight concurrently — sixteen pipelined searches cost one connection,
+// not sixteen. Deadlines on the caller's context ride along on the wire, and
+// canceling a context mid-call emits a best-effort Cancel frame so the
+// server can abandon the work.
 //
 // Transport failures poison the connection — a frame boundary lost to a
 // half-written request or half-read response makes every subsequent byte
@@ -86,13 +84,6 @@ func WithObservability(reg *obs.Registry) Option {
 	return func(c *Conn) { c.reg = reg }
 }
 
-// WithLockstep forces protocol v1: no hello exchange, ID-less envelopes and
-// one request in flight at a time. Used to benchmark the mux against the
-// lockstep baseline and to emulate v1 peers.
-func WithLockstep() Option {
-	return func(c *Conn) { c.lockstep = true }
-}
-
 // WithMaxRetries bounds transparent redial attempts for idempotent calls on
 // transport errors; 0 disables reconnection entirely.
 func WithMaxRetries(n int) Option {
@@ -114,12 +105,11 @@ func WithTracer(t *obs.Tracer) Option {
 // time is client_request_seconds, the cloud's share of it is the matching
 // server_request_seconds, and the difference is the network.
 type Conn struct {
-	addr     string
-	meter    *device.Meter
-	reg      *obs.Registry
-	tracer   *obs.Tracer
-	lockstep bool
-	retries  int
+	addr    string
+	meter   *device.Meter
+	reg     *obs.Registry
+	tracer  *obs.Tracer
+	retries int
 
 	mu     sync.Mutex
 	token  string
@@ -128,8 +118,8 @@ type Conn struct {
 	dialed bool // a transport has connected at least once
 }
 
-// Dial connects to an MIE server and negotiates the protocol version.
-// meter may be nil.
+// Dial connects to an MIE server and runs the protocol handshake; it fails
+// if the server does not speak protocol v2. meter may be nil.
 func Dial(addr string, meter *device.Meter, opts ...Option) (*Conn, error) {
 	c := &Conn{addr: addr, meter: meter, retries: defaultMaxRetries}
 	for _, opt := range opts {
@@ -172,18 +162,6 @@ func (c *Conn) SetToken(token string) {
 	c.token = token
 }
 
-// Protocol reports the negotiated protocol version of the live transport
-// (wire.ProtocolV2 on a multiplexed connection, wire.ProtocolV1 in lockstep
-// fallback or when forced by WithLockstep).
-func (c *Conn) Protocol() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tr != nil && c.tr.v2 {
-		return wire.ProtocolV2
-	}
-	return wire.ProtocolV1
-}
-
 func (c *Conn) tokenSnapshot() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -222,14 +200,17 @@ func (c *Conn) transportLocked() (*transport, error) {
 	return t, nil
 }
 
-// connect dials and runs version negotiation: a hello answered by HelloResp
-// selects the multiplexed protocol; any other answer (a v1 server says
-// "unknown kind") selects lockstep. Handshake traffic is connection setup,
-// not an operation, so it is not metered.
+// connect dials, runs the handshake and starts the mux goroutines.
+// Handshake traffic is connection setup, not an operation, so it is not
+// metered.
 func (c *Conn) connect() (*transport, error) {
 	tcp, err := net.Dial("tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
+	}
+	if _, err := wire.Handshake(tcp); err != nil {
+		_ = tcp.Close()
+		return nil, fmt.Errorf("client: %s: %w", c.addr, err)
 	}
 	t := &transport{
 		tcp:    tcp,
@@ -238,27 +219,8 @@ func (c *Conn) connect() (*transport, error) {
 		writeq: make(chan outFrame, writeQueueDepth),
 		done:   make(chan struct{}),
 	}
-	if !c.lockstep {
-		if _, err := wire.WriteFrame(tcp, wire.KindHello, wire.Hello{MaxVersion: wire.ProtocolV2}); err != nil {
-			_ = tcp.Close()
-			return nil, fmt.Errorf("client: hello: %w", err)
-		}
-		env, _, err := wire.ReadFrame(tcp)
-		if err != nil {
-			_ = tcp.Close()
-			return nil, fmt.Errorf("client: hello response: %w", err)
-		}
-		if env.Kind == wire.KindHelloResp {
-			var hr wire.HelloResp
-			if err := env.Decode(&hr); err == nil && hr.Version >= wire.ProtocolV2 {
-				t.v2 = true
-			}
-		}
-	}
-	if t.v2 {
-		go t.writeLoop()
-		go t.readLoop()
-	}
+	go t.writeLoop()
+	go t.readLoop()
 	return t, nil
 }
 
@@ -284,11 +246,8 @@ type outFrame struct {
 type transport struct {
 	tcp    net.Conn
 	reg    *obs.Registry
-	v2     bool
 	writeq chan outFrame
 	done   chan struct{}
-
-	lsMu sync.Mutex // lockstep mode: serializes whole round trips
 
 	mu     sync.Mutex
 	nextID uint64
@@ -412,7 +371,7 @@ func (t *transport) readLoop() {
 	}
 }
 
-// muxCall runs one request/response exchange on a multiplexed transport.
+// muxCall runs one request/response exchange on the transport.
 func (c *Conn) muxCall(ctx context.Context, t *transport, kind string, req interface{}) (*wire.Envelope, int, int, error) {
 	var timeout time.Duration
 	if dl, ok := ctx.Deadline(); ok {
@@ -429,8 +388,8 @@ func (c *Conn) muxCall(ctx context.Context, t *transport, kind string, req inter
 	return c.muxExchange(ctx, t, env)
 }
 
-// muxExchange sends one pre-built envelope on a multiplexed transport and
-// awaits the response echoing its ID. The envelope's ID is (re)stamped with
+// muxExchange sends one pre-built envelope on the transport and awaits the
+// response echoing its ID. The envelope's ID is (re)stamped with
 // a fresh request ID for this transport.
 func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope) (*wire.Envelope, int, int, error) {
 	ch := make(chan demuxed, 1)
@@ -453,7 +412,9 @@ func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope
 		}
 		up = wr.n
 	case <-t.done:
-		return nil, 0, 0, t.failure()
+		// A peer that answers and hangs up at once can tear the transport
+		// down before the write result is read here; the select below
+		// still returns a reply that was delivered.
 	}
 	select {
 	case d, ok := <-ch:
@@ -475,55 +436,6 @@ func (c *Conn) muxExchange(ctx context.Context, t *transport, env *wire.Envelope
 		}
 		return nil, up, 0, t.failure()
 	}
-}
-
-// lockstepCall runs one request/response exchange in v1 framing: the whole
-// round trip holds the transport, exactly one request in flight. A context
-// deadline is enforced via socket deadlines; any failure mid-exchange
-// poisons the transport, because a partially written request or partially
-// read response leaves the stream position undefined.
-func (c *Conn) lockstepCall(ctx context.Context, t *transport, kind string, req interface{}) (*wire.Envelope, int, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	var timeout time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		timeout = time.Until(dl)
-	}
-	env, err := wire.NewEnvelope(kind, c.tokenSnapshot(), 0, timeout, req)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	stampTrace(ctx, env)
-	return c.lockstepExchange(ctx, t, env)
-}
-
-// lockstepExchange runs one pre-built envelope through v1 framing: the whole
-// round trip holds the transport. The envelope's ID is forced to zero (the
-// v1 marker).
-func (c *Conn) lockstepExchange(ctx context.Context, t *transport, env *wire.Envelope) (*wire.Envelope, int, int, error) {
-	env.ID = 0
-	t.lsMu.Lock()
-	defer t.lsMu.Unlock()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = t.tcp.SetDeadline(dl)
-		defer func() { _ = t.tcp.SetDeadline(time.Time{}) }()
-	}
-	up, err := wire.WriteEnvelope(t.tcp, env)
-	t.reg.Counter("client_tx_bytes_total").Add(int64(up))
-	if err != nil {
-		err = fmt.Errorf("client: write %s: %w", env.Kind, err)
-		t.fail(err)
-		return nil, 0, 0, err
-	}
-	renv, down, err := wire.ReadFrame(t.tcp)
-	if err != nil {
-		err = fmt.Errorf("client: %s response: %w", env.Kind, err)
-		t.fail(err)
-		return nil, up, 0, err
-	}
-	t.reg.Counter("client_rx_bytes_total").Add(int64(down))
-	return renv, up, down, nil
 }
 
 // transient reports whether err is a transport-level failure worth a
@@ -578,11 +490,7 @@ func (c *Conn) roundTrip(ctx context.Context, cat device.Category, kind string, 
 		var t *transport
 		t, err = c.transport()
 		if err == nil {
-			if t.v2 {
-				env, up, down, err = c.muxCall(ctx, t, kind, req)
-			} else {
-				env, up, down, err = c.lockstepCall(ctx, t, kind, req)
-			}
+			env, up, down, err = c.muxCall(ctx, t, kind, req)
 		}
 		if err == nil {
 			if c.meter != nil {
@@ -621,15 +529,19 @@ func (c *Conn) CreateRepository(ctx context.Context, repoID string, opts wire.Re
 }
 
 // Train triggers cloud-side training and blocks until it completes (free for
-// the client: the only cost is the request round trip, which is the point of
-// MIE). On a multiplexed connection other requests proceed meanwhile; use
-// TrainStart for a non-blocking handle.
+// the client: the only cost is the request round trips, which is the point
+// of MIE). It starts (or joins) a server-side job and waits for it; other
+// requests on the connection proceed meanwhile. A failed training run is
+// reported as a RemoteError. Use TrainStart for a non-blocking handle.
 func (c *Conn) Train(ctx context.Context, repoID string) error {
-	var ack wire.Ack
-	if err := c.roundTrip(ctx, device.Network, wire.KindTrain, false, wire.TrainReq{RepoID: repoID}, &ack); err != nil {
-		return err
+	st, err := c.TrainStart(ctx, repoID)
+	for err == nil && st.State == string(core.TrainRunning) {
+		st, err = c.TrainWait(ctx, repoID, st.JobID)
 	}
-	return ackErr(ack)
+	if err == nil && st.State == string(core.TrainFailed) {
+		err = &RemoteError{Msg: st.Err}
+	}
+	return err
 }
 
 // TrainStart launches an asynchronous server-side training job and returns

@@ -27,10 +27,9 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-// fakeServer accepts connections and answers every request — including the
-// hello, which makes clients fall back to lockstep — with the given
-// envelope kind/payload.
-func fakeServer(t *testing.T, kind string, payload interface{}) string {
+// listen serves every accepted connection with handle on its own goroutine
+// and closes the connection when handle returns.
+func listen(t *testing.T, handle func(conn net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -45,45 +44,85 @@ func fakeServer(t *testing.T, kind string, payload interface{}) string {
 			}
 			go func() {
 				defer conn.Close()
-				for {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					if _, err := wire.WriteFrame(conn, kind, payload); err != nil {
-						return
-					}
-				}
+				handle(conn)
 			}()
 		}
 	}()
 	return ln.Addr().String()
 }
 
-// fakeMuxServer accepts one connection, answers the hello with protocol v2,
-// and hands the connection to serve.
-func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// reply writes one response frame echoing request id.
+func reply(conn net.Conn, id uint64, kind string, payload interface{}) error {
+	env, err := wire.NewEnvelope(kind, "", id, 0, payload)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
+	_, err = wire.WriteEnvelope(conn, env)
+	return err
+}
+
+// answerHello reads the client's hello and answers it with protocol v2.
+func answerHello(conn net.Conn) bool {
+	env, _, err := wire.ReadFrame(conn)
+	if err != nil || env.Kind != wire.KindHello {
+		return false
+	}
+	return reply(conn, env.ID, wire.KindHelloResp, wire.HelloResp{Version: wire.ProtocolV2}) == nil
+}
+
+// serveAll answers every request on conn with the given envelope
+// kind/payload, echoing the request's ID.
+func serveAll(conn net.Conn, kind string, payload interface{}) {
+	for {
+		env, _, err := wire.ReadFrame(conn)
 		if err != nil {
 			return
 		}
-		defer conn.Close()
-		env, _, err := wire.ReadFrame(conn)
-		if err != nil || env.Kind != wire.KindHello {
+		if reply(conn, env.ID, kind, payload) != nil {
 			return
 		}
-		if _, err := wire.WriteFrame(conn, wire.KindHelloResp, wire.HelloResp{Version: wire.ProtocolV2}); err != nil {
-			return
+	}
+}
+
+// fakeServer accepts connections, answers the hello with protocol v2 and
+// every request with the given envelope kind/payload.
+func fakeServer(t *testing.T, kind string, payload interface{}) string {
+	return listen(t, func(conn net.Conn) {
+		if answerHello(conn) {
+			serveAll(conn, kind, payload)
 		}
-		serve(conn)
-	}()
-	return ln.Addr().String()
+	})
+}
+
+// fakeMuxServer answers the hello of each connection with protocol v2 and
+// hands the connection to serve.
+func fakeMuxServer(t *testing.T, serve func(conn net.Conn)) string {
+	return listen(t, func(conn net.Conn) {
+		if answerHello(conn) {
+			serve(conn)
+		}
+	})
+}
+
+// dropAfterRequest answers the hello, reads one request and hangs up
+// without answering it.
+func dropAfterRequest(conn net.Conn) {
+	if answerHello(conn) {
+		_, _, _ = wire.ReadFrame(conn)
+	}
+}
+
+// trainDone is a train-job response for a finished job.
+var trainDone = wire.TrainJobResp{Job: wire.TrainJobStatus{JobID: 1, State: string(core.TrainDone)}}
+
+func TestDialRejectsNonV2Peer(t *testing.T) {
+	// A server that does not know the hello kind answers it with an error.
+	addr := listen(t, func(conn net.Conn) {
+		serveAll(conn, wire.KindError, wire.Ack{Err: "unknown kind: hello"})
+	})
+	if _, err := Dial(addr, nil); err == nil || !strings.Contains(err.Error(), "protocol v2") {
+		t.Errorf("Dial err = %v, want an error naming protocol v2", err)
+	}
 }
 
 func TestServerErrorKindSurfaced(t *testing.T) {
@@ -93,10 +132,6 @@ func TestServerErrorKindSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// The hello was answered with an error kind: lockstep fallback.
-	if got := c.Protocol(); got != wire.ProtocolV1 {
-		t.Errorf("negotiated protocol = %d, want v1 fallback", got)
-	}
 	err = c.Train(bg, "r")
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("err = %v, want server error text", err)
@@ -151,12 +186,14 @@ func TestConnClosedMidRequest(t *testing.T) {
 	}
 	go func() {
 		conn, err := ln.Accept()
+		_ = ln.Close() // no redial can reach a server
 		if err != nil {
 			return
 		}
-		_ = conn.Close() // hang up without answering
+		answerHello(conn)
+		_ = conn.Close() // hang up without answering any request
 	}()
-	c, err := Dial(ln.Addr().String(), device.NewMeter(device.Desktop), WithLockstep())
+	c, err := Dial(ln.Addr().String(), device.NewMeter(device.Desktop))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,30 +201,19 @@ func TestConnClosedMidRequest(t *testing.T) {
 	if err := c.Train(bg, "r"); err == nil {
 		t.Error("expected error after server hangup")
 	}
-	_ = ln.Close()
 }
 
 func TestSetTokenIsAttached(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
 	gotAuth := make(chan string, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
+	addr := fakeMuxServer(t, func(conn net.Conn) {
 		env, _, err := wire.ReadFrame(conn)
 		if err != nil {
 			return
 		}
 		gotAuth <- env.Auth
-		_, _ = wire.WriteFrame(conn, wire.KindAck, wire.Ack{})
-	}()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep())
+		_ = reply(conn, env.ID, wire.KindTrainJobResp, trainDone)
+	})
+	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +224,62 @@ func TestSetTokenIsAttached(t *testing.T) {
 	}
 	if auth := <-gotAuth; auth != "bearer-xyz" {
 		t.Errorf("server saw auth %q", auth)
+	}
+}
+
+func TestTrainWaitsForRunningJob(t *testing.T) {
+	// Train blocks: it starts a job, then waits again for as long as the
+	// server reports it running (a wait whose deadline lapsed server-side),
+	// and surfaces a failed run as a RemoteError.
+	for _, final := range []wire.TrainJobStatus{
+		{JobID: 7, State: string(core.TrainDone)},
+		{JobID: 7, State: string(core.TrainFailed), Err: "kmeans exploded"},
+	} {
+		kinds := make(chan string, 8)
+		addr := fakeMuxServer(t, func(conn net.Conn) {
+			answers := []wire.TrainJobStatus{
+				{JobID: 7, State: string(core.TrainRunning)},
+				{JobID: 7, State: string(core.TrainRunning)},
+				final,
+			}
+			for _, st := range answers {
+				env, _, err := wire.ReadFrame(conn)
+				if err != nil {
+					return
+				}
+				kinds <- env.Kind
+				if env.Kind == wire.KindTrainWait {
+					var req wire.TrainJobReq
+					if env.Decode(&req) != nil || req.JobID != 7 {
+						return
+					}
+				}
+				if reply(conn, env.ID, wire.KindTrainJobResp, wire.TrainJobResp{Job: st}) != nil {
+					return
+				}
+			}
+		})
+		c, err := Dial(addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Train(bg, "r")
+		_ = c.Close()
+		// Every request was recorded before it was answered.
+		var got []string
+		for len(kinds) > 0 {
+			got = append(got, <-kinds)
+		}
+		if want := []string{wire.KindTrainStart, wire.KindTrainWait, wire.KindTrainWait}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: requests = %v, want %v", final.State, got, want)
+		}
+		var re *RemoteError
+		switch {
+		case final.Err == "" && err != nil:
+			t.Errorf("train of a finished job: %v", err)
+		case final.Err != "" && (!errors.As(err, &re) || re.Msg != final.Err):
+			t.Errorf("train of a failed job: err = %v, want RemoteError %q", err, final.Err)
+		}
 	}
 }
 
@@ -238,9 +320,6 @@ func TestMuxInterleavedResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Protocol(); got != wire.ProtocolV2 {
-		t.Fatalf("negotiated protocol = %d, want v2", got)
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
 	for i := 0; i < callers; i++ {
@@ -322,54 +401,27 @@ func TestPoisonedConnNotReused(t *testing.T) {
 	// Regression: a response abandoned mid-frame leaves the TCP stream at an
 	// undefined position. The connection must be poisoned and replaced — not
 	// reused, where the next call would misread leftover bytes as its reply.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
 	var accepts int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
+	addr := fakeMuxServer(t, func(conn net.Conn) {
+		if atomic.AddInt32(&accepts, 1) == 1 {
+			if _, _, err := wire.ReadFrame(conn); err != nil {
 				return
 			}
-			n := atomic.AddInt32(&accepts, 1)
-			go func(conn net.Conn, n int32) {
-				defer conn.Close()
-				if n == 1 {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					// Header promises 50 bytes; send 5 and stall: the reply is
-					// stuck mid-frame on a connection that stays open.
-					_, _ = conn.Write([]byte{0, 0, 0, 50, 1, 2, 3, 4, 5})
-					<-release
-					return
-				}
-				for {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					if _, err := wire.WriteFrame(conn, wire.KindAck, wire.Ack{}); err != nil {
-						return
-					}
-				}
-			}(conn, n)
+			// Header promises 50 bytes; send 5 and hang up: the reply is
+			// cut off mid-frame.
+			_, _ = conn.Write([]byte{0, 0, 0, 50, 1, 2, 3, 4, 5})
+			return
 		}
-	}()
+		serveAll(conn, wire.KindTrainJobResp, trainDone)
+	})
 	reg := obs.NewRegistry()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep(), WithObservability(reg))
+	c, err := Dial(addr, nil, WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx, cancel := context.WithTimeout(bg, 300*time.Millisecond)
-	defer cancel()
-	if err := c.Train(ctx, "r"); err == nil {
-		t.Fatal("train on the stalled connection should have failed")
+	if err := c.Train(bg, "r"); err == nil {
+		t.Fatal("train on the cut-off connection should have failed")
 	}
 	// The next call must run on a fresh connection and succeed.
 	if err := c.Train(bg, "r"); err != nil {
@@ -384,40 +436,21 @@ func TestPoisonedConnNotReused(t *testing.T) {
 }
 
 func TestIdempotentCallReconnects(t *testing.T) {
-	// A server that drops the first connection: Search (idempotent) retries
-	// on a fresh one and succeeds without the caller noticing.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
+	// A server that drops the first connection after the hello: Search
+	// (idempotent) retries on a fresh one and succeeds without the caller
+	// noticing.
 	var accepts int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if atomic.AddInt32(&accepts, 1) == 1 {
-				_ = conn.Close()
-				continue
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					if _, _, err := wire.ReadFrame(conn); err != nil {
-						return
-					}
-					if _, err := wire.WriteFrame(conn, wire.KindSearchResp,
-						wire.SearchResp{Hits: []core.SearchHit{{ObjectID: "x"}}}); err != nil {
-						return
-					}
-				}
-			}(conn)
+	addr := listen(t, func(conn net.Conn) {
+		if atomic.AddInt32(&accepts, 1) == 1 {
+			dropAfterRequest(conn)
+			return
 		}
-	}()
+		if answerHello(conn) {
+			serveAll(conn, wire.KindSearchResp, wire.SearchResp{Hits: []core.SearchHit{{ObjectID: "x"}}})
+		}
+	})
 	reg := obs.NewRegistry()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep(), WithObservability(reg))
+	c, err := Dial(addr, nil, WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,24 +470,13 @@ func TestIdempotentCallReconnects(t *testing.T) {
 func TestMutationNotRetried(t *testing.T) {
 	// Update is not idempotent: a transport error surfaces to the caller
 	// instead of being silently re-sent.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
 	var accepts int32
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			atomic.AddInt32(&accepts, 1)
-			_ = conn.Close()
-		}
-	}()
+	addr := listen(t, func(conn net.Conn) {
+		atomic.AddInt32(&accepts, 1)
+		dropAfterRequest(conn)
+	})
 	reg := obs.NewRegistry()
-	c, err := Dial(ln.Addr().String(), nil, WithLockstep(), WithObservability(reg))
+	c, err := Dial(addr, nil, WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,7 @@ func (c *Conn) Forward(ctx context.Context, env *wire.Envelope, idempotent bool)
 		var t *transport
 		t, err = c.transport()
 		if err == nil {
-			if t.v2 {
-				resp, _, _, err = c.muxExchange(ctx, t, out)
-			} else {
-				resp, _, _, err = c.lockstepExchange(ctx, t, out)
-			}
+			resp, _, _, err = c.muxExchange(ctx, t, out)
 		}
 		if err == nil {
 			return resp, nil
@@ -74,30 +70,20 @@ func (c *Conn) Forward(ctx context.Context, env *wire.Envelope, idempotent bool)
 	}
 }
 
-// Hello probes addr with a bare version handshake on a one-shot connection
-// and returns the peer's HelloResp — the router's health check, carrying
-// the node's replication role and caught-up state. The probe uses its own
+// Hello probes addr with a bare handshake on a one-shot connection and
+// returns the peer's HelloResp — the router's health check, carrying the
+// node's replication role and caught-up state. The probe uses its own
 // short-lived connection so it can never poison pooled request traffic.
 func Hello(addr string, timeout time.Duration) (wire.HelloResp, error) {
-	var hr wire.HelloResp
 	tcp, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return hr, fmt.Errorf("client: hello dial %s: %w", addr, err)
+		return wire.HelloResp{}, fmt.Errorf("client: hello dial %s: %w", addr, err)
 	}
 	defer func() { _ = tcp.Close() }()
 	_ = tcp.SetDeadline(time.Now().Add(timeout))
-	if _, err := wire.WriteFrame(tcp, wire.KindHello, wire.Hello{MaxVersion: wire.ProtocolV2}); err != nil {
-		return hr, fmt.Errorf("client: hello %s: %w", addr, err)
-	}
-	env, _, err := wire.ReadFrame(tcp)
+	hr, err := wire.Handshake(tcp)
 	if err != nil {
-		return hr, fmt.Errorf("client: hello response from %s: %w", addr, err)
-	}
-	if env.Kind != wire.KindHelloResp {
-		return hr, fmt.Errorf("client: %s answered hello with %s", addr, env.Kind)
-	}
-	if err := env.Decode(&hr); err != nil {
-		return hr, err
+		return hr, fmt.Errorf("client: %s: %w", addr, err)
 	}
 	return hr, nil
 }

@@ -254,5 +254,5 @@ func WriteConcurrencyReport(w io.Writer, r *ConcurrencyReport) {
 		fmt.Fprintf(w, "  %-26s %-8d %-12.1f %-9.3f %-9.3f %-9.3f\n",
 			lv.Mode, lv.Clients, lv.ThroughputQPS, lv.P50Ms, lv.P95Ms, lv.P99Ms)
 	}
-	fmt.Fprintf(w, "  v2 mux / v1 lockstep throughput at the top level: %.2fx\n", r.Wire.MuxOverLockstep)
+	fmt.Fprintf(w, "  mux / lockstep throughput at the top level: %.2fx\n", r.Wire.MuxOverLockstep)
 }

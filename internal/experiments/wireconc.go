@@ -1,13 +1,13 @@
 package experiments
 
 // Wire-transport concurrency comparison: the same search workload pushed
-// through the three client transports — the v1 lockstep protocol on one
-// shared connection, the v2 pipelined mux on one shared connection, and
-// one v2 connection per client — over real TCP with the paper's WAN link
-// simulated in between. It quantifies the claim behind wire protocol v2:
-// a single multiplexed connection should match connection-per-client
-// throughput and beat lockstep by at least the in-flight factor once the
-// link has latency to hide.
+// through three client transports — one shared connection with a single
+// request in flight (lockstep), one shared connection with every request
+// pipelined (mux), and one connection per client — over real TCP with the
+// paper's WAN link simulated in between. It quantifies the claim behind the
+// multiplexed wire protocol: a single multiplexed connection should match
+// connection-per-client throughput and beat lockstep by at least the
+// in-flight factor once the link has latency to hide.
 
 import (
 	"context"
@@ -25,7 +25,7 @@ import (
 
 // Wire transport modes, the values of WireLevel.Mode.
 const (
-	ModeLockstep      = "v1-lockstep-single-conn"
+	ModeLockstep      = "lockstep-single-conn"
 	ModeMux           = "v2-mux-single-conn"
 	ModeConnPerClient = "v2-conn-per-client"
 )
@@ -49,8 +49,8 @@ type WireReport struct {
 	// the lockstep rows affordable).
 	SimulatedRTTMs float64     `json:"simulated_rtt_ms"`
 	Levels         []WireLevel `json:"levels"`
-	// MuxOverLockstep is the v2-mux / v1-lockstep throughput ratio at the
-	// highest client level — the headline number for the protocol change.
+	// MuxOverLockstep is the mux / lockstep throughput ratio at the highest
+	// client level — the headline number for request multiplexing.
 	MuxOverLockstep float64 `json:"mux_over_lockstep"`
 }
 
@@ -167,23 +167,27 @@ func WireConcurrencyExperiment(cfg Config, levels []int) (*WireReport, error) {
 }
 
 // wireLevel runs n clients, perClient searches each, through one transport
-// mode. Lockstep and mux share a single connection; conn-per-client dials
-// one per worker.
+// mode. Lockstep and mux share a single connection; lockstep additionally
+// holds a mutex around each Search, so exactly one request is in flight.
+// Conn-per-client dials one per worker.
 func wireLevel(mode, addr, repoID string, queries []*core.Query, n, perClient int) (WireLevel, error) {
 	ctx := context.Background()
 	var shared *client.Conn
 	var err error
-	switch mode {
-	case ModeLockstep:
-		shared, err = client.Dial(addr, nil, client.WithLockstep())
-	case ModeMux:
-		shared, err = client.Dial(addr, nil)
-	}
-	if err != nil {
-		return WireLevel{}, err
-	}
-	if shared != nil {
+	if mode != ModeConnPerClient {
+		if shared, err = client.Dial(addr, nil); err != nil {
+			return WireLevel{}, err
+		}
 		defer func() { _ = shared.Close() }()
+	}
+	var inFlight sync.Mutex
+	search := func(c *client.Conn, q *core.Query) error {
+		if mode == ModeLockstep {
+			inFlight.Lock()
+			defer inFlight.Unlock()
+		}
+		_, err := c.Search(ctx, repoID, q)
+		return err
 	}
 
 	conns := make([]*client.Conn, n)
@@ -209,7 +213,7 @@ func wireLevel(mode, addr, repoID string, queries []*core.Query, n, perClient in
 			for i := 0; i < perClient; i++ {
 				q := queries[(c+i)%len(queries)]
 				t0 := time.Now()
-				if _, err := conns[c].Search(ctx, repoID, q); err != nil {
+				if err := search(conns[c], q); err != nil {
 					errs[c] = err
 					return
 				}

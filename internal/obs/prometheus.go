@@ -13,9 +13,6 @@ import (
 // `_count`. The internal metric identity `name{k=v,k2=v2}` produced by L()
 // is parsed back into base name + label pairs here, at the exposition
 // boundary, so hot-path metric updates never pay for quoting.
-//
-// The legacy exposition (WriteMetrics, unquoted labels and quantile lines)
-// remains for mie-bench's human-oriented dumps; scrapers get this one.
 
 // promSeries is one parsed metric identity: base name plus ordered labels.
 type promSeries struct {

@@ -193,16 +193,8 @@ func (f *Follower) session() (progressed bool, err error) {
 	}()
 
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := wire.WriteFrame(conn, wire.KindHello, wire.Hello{MaxVersion: wire.ProtocolV2}); err != nil {
-		return false, fmt.Errorf("hello: %w", err)
-	}
-	env, _, err := wire.ReadFrame(conn)
-	if err != nil {
-		return false, fmt.Errorf("hello response: %w", err)
-	}
-	var hr wire.HelloResp
-	if env.Kind != wire.KindHelloResp || env.Decode(&hr) != nil || hr.Version < wire.ProtocolV2 {
-		return false, fmt.Errorf("leader %s does not speak protocol v2", f.addr)
+	if _, err := wire.Handshake(conn); err != nil {
+		return false, fmt.Errorf("leader %s: %w", f.addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
 

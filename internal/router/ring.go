@@ -1,7 +1,8 @@
 // Package router is a thin stateless routing tier for a replicated MIE
 // cluster: it places repositories on nodes by consistent hashing (virtual
 // nodes over an explicit membership list — no gossip, no coordination),
-// relays wire frames to the chosen node, and fails reads over to the next
+// relays multiplexed wire frames to the chosen node without decoding their
+// payloads beyond the repository id, and fails reads over to the next
 // healthy caught-up replica on the ring when a node is down. Mutations and
 // training always go to the leader.
 package router

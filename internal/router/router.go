@@ -68,8 +68,9 @@ func (b *backend) eligible() bool {
 
 // Router accepts wire connections and relays each request to the right
 // node: mutations and training to the leader, reads to the repository's
-// ring-preferred node with failover along the ring. It speaks protocol v2
-// to its backends and both v1 (lockstep) and v2 (multiplexed) to clients.
+// ring-preferred node with failover along the ring. It speaks the
+// multiplexed wire protocol on both sides; a client request without an ID
+// is a protocol violation that drops the client's connection.
 type Router struct {
 	cfg      Config
 	ring     *Ring
@@ -270,18 +271,12 @@ func (cs *connState) writeError(id uint64, msg string) error {
 }
 
 func (cs *connState) track(id uint64, cancel context.CancelFunc) {
-	if id == 0 {
-		return
-	}
 	cs.mu.Lock()
 	cs.inflight[id] = cancel
 	cs.mu.Unlock()
 }
 
 func (cs *connState) untrack(id uint64) {
-	if id == 0 {
-		return
-	}
 	cs.mu.Lock()
 	delete(cs.inflight, id)
 	cs.mu.Unlock()
@@ -334,9 +329,9 @@ func (r *Router) serveConn(conn net.Conn) {
 			_ = cs.writeError(env.ID, "router: replication streams must connect to a node directly")
 		default:
 			if env.ID == 0 {
-				// v1 lockstep: answer before reading the next request.
-				r.relay(cs, env)
-				continue
+				// A request its response could not name: a protocol
+				// violation, handled like an undecodable frame.
+				return
 			}
 			relays.Add(1)
 			go func(env *wire.Envelope) {
@@ -345,19 +340,6 @@ func (r *Router) serveConn(conn net.Conn) {
 			}(env)
 		}
 	}
-}
-
-// mutates reports whether a request kind must be answered by the leader:
-// everything that writes state or touches the leader-resident training job
-// table. Mirrors the follower-side forwarding set.
-func mutates(kind string) bool {
-	switch kind {
-	case wire.KindCreateRepo, wire.KindTrain, wire.KindTrainStart,
-		wire.KindTrainStatus, wire.KindTrainWait, wire.KindUpdate,
-		wire.KindRemove:
-		return true
-	}
-	return false
 }
 
 // readTargets returns the candidate backends for a read, in preference
@@ -390,7 +372,7 @@ func (r *Router) relay(cs *connState, env *wire.Envelope) {
 	cs.track(env.ID, cancel)
 	defer cs.untrack(env.ID)
 
-	if mutates(env.Kind) {
+	if wire.LeaderOnly(env.Kind) {
 		idempotent := env.Kind == wire.KindTrainStatus || env.Kind == wire.KindTrainWait
 		r.relayTo(ctx, cs, env, []*backend{r.leader}, idempotent)
 		return

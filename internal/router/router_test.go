@@ -2,7 +2,9 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -141,5 +143,48 @@ func TestRouterRoutesAndFailsOver(t *testing.T) {
 	}
 	if resp.Kind != wire.KindError {
 		t.Fatalf("repl-subscribe through router answered %q, want error", resp.Kind)
+	}
+}
+
+// TestRouterDropsRequestWithoutID: a request frame with ID 0 cannot be
+// answered on a multiplexed connection; the router drops the connection
+// without relaying it.
+func TestRouterDropsRequestWithoutID(t *testing.T) {
+	leakcheck.Check(t)
+	svc, _, err := core.OpenService(core.ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	srv, err := server.New("127.0.0.1:0", svc, nil, server.WithObservability(obs.NewRegistry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	reg := obs.NewRegistry()
+	rt, err := Start(Config{Nodes: []Node{{Name: "n", Addr: srv.Addr()}}, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = rt.Close() }()
+
+	raw, err := net.Dial("tcp", rt.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	env, err := wire.NewEnvelope(wire.KindSearch, "", 0, 0, wire.SearchReq{RepoID: "r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.WriteEnvelope(raw, env); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("read after an ID-0 request: %v, want EOF (connection dropped)", err)
+	}
+	if got := reg.Counter("router_requests_total").Value(); got != 0 {
+		t.Errorf("router_requests_total = %d, want 0 (ID-0 request relayed)", got)
 	}
 }

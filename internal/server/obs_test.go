@@ -79,7 +79,7 @@ func TestAuthorizerDeniesEveryKind(t *testing.T) {
 	if got := reg.Counter("server_authz_denials_total").Value(); got != 6 {
 		t.Errorf("authz denials = %d, want 6", got)
 	}
-	for _, kind := range []string{wire.KindCreateRepo, wire.KindTrain, wire.KindUpdate, wire.KindRemove, wire.KindSearch, wire.KindGet} {
+	for _, kind := range []string{wire.KindCreateRepo, wire.KindTrainStart, wire.KindUpdate, wire.KindRemove, wire.KindSearch, wire.KindGet} {
 		if got := reg.Counter(obs.L("server_request_errors_total", "kind", kind)).Value(); got != 1 {
 			t.Errorf("error counter for %s = %d, want 1", kind, got)
 		}
@@ -98,9 +98,7 @@ func TestUnknownKindErrorResponseBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := wire.WriteFrame(raw, "bogus-kind", wire.Ack{}); err != nil {
-		t.Fatal(err)
-	}
+	writeRequest(t, raw, 1, "bogus-kind", wire.Ack{})
 	env, _, err := wire.ReadFrame(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -120,10 +118,8 @@ func TestUnknownKindErrorResponseBody(t *testing.T) {
 	}
 	// The connection stays usable after an unknown kind (one error response,
 	// no abort).
-	if _, err := wire.WriteFrame(raw, wire.KindTrain, wire.TrainReq{RepoID: "missing"}); err != nil {
-		t.Fatal(err)
-	}
-	if env, _, err = wire.ReadFrame(raw); err != nil || env.Kind != wire.KindAck {
+	writeRequest(t, raw, 2, wire.KindTrainStart, wire.TrainReq{RepoID: "missing"})
+	if env, _, err = wire.ReadFrame(raw); err != nil || env.Kind != wire.KindTrainJobResp || env.ID != 2 {
 		t.Errorf("follow-up request after unknown kind: env=%v err=%v", env, err)
 	}
 }
@@ -181,6 +177,37 @@ func TestMalformedFramesCountedDistinctly(t *testing.T) {
 	}
 }
 
+func TestRequestWithoutIDDropsConnection(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := New("127.0.0.1:0", memSvc(t), nil, WithObservability(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// A search its response could not name: the server answers nothing and
+	// hangs up.
+	writeRequest(t, raw, 0, wire.KindSearch, wire.SearchReq{RepoID: "r"})
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("read after an ID-0 request: %v, want EOF (connection dropped)", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for reg.Counter("server_malformed_frames_total").Value() < 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := reg.Counter("server_malformed_frames_total").Value(); got != 1 {
+		t.Errorf("malformed frames = %d, want 1", got)
+	}
+	if got := reg.Counter(obs.L("server_requests_total", "kind", wire.KindSearch)).Value(); got != 0 {
+		t.Errorf("ID-0 search was dispatched (%d requests counted)", got)
+	}
+}
+
 // flakyListener fails Accept a fixed number of times, then hands out queued
 // connections, then blocks until closed — the EMFILE-under-load shape.
 type flakyListener struct {
@@ -235,13 +262,17 @@ func TestAcceptLoopRetriesTransientErrors(t *testing.T) {
 	fl.conns <- srvEnd
 	done := make(chan error, 1)
 	go func() {
-		if _, err := wire.WriteFrame(cliEnd, wire.KindTrain, wire.TrainReq{RepoID: "missing"}); err != nil {
+		env, err := wire.NewEnvelope(wire.KindTrainStart, "", 1, 0, wire.TrainReq{RepoID: "missing"})
+		if err == nil {
+			_, err = wire.WriteEnvelope(cliEnd, env)
+		}
+		if err != nil {
 			done <- err
 			return
 		}
-		env, _, err := wire.ReadFrame(cliEnd)
-		if err == nil && env.Kind != wire.KindAck {
-			err = fmt.Errorf("kind = %s, want ack", env.Kind)
+		env, _, err = wire.ReadFrame(cliEnd)
+		if err == nil && env.Kind != wire.KindTrainJobResp {
+			err = fmt.Errorf("kind = %s, want %s", env.Kind, wire.KindTrainJobResp)
 		}
 		done <- err
 	}()
@@ -323,7 +354,7 @@ func TestMetricsEndpointReflectsSearchRoundTrip(t *testing.T) {
 	for _, name := range []string{
 		`server_requests_total{kind="search"}`,
 		`server_requests_total{kind="update"}`,
-		`server_requests_total{kind="train"}`,
+		`server_requests_total{kind="train-start"}`,
 		`server_request_seconds_count{kind="search"}`,
 		`server_rx_bytes_total`,
 		`server_tx_bytes_total`,

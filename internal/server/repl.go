@@ -63,20 +63,6 @@ func WithNodeStatus(fn func() NodeStatus) Option {
 	return func(s *Server) { s.nodeStatus = fn }
 }
 
-// forwarded reports whether a request kind must be answered by the leader:
-// everything that mutates state or touches the leader-resident training job
-// table. Reads (Search/Get/TraceGet) stay local — serving them from
-// follower replicas is the point of read scale-out.
-func forwarded(kind string) bool {
-	switch kind {
-	case wire.KindCreateRepo, wire.KindTrain, wire.KindTrainStart,
-		wire.KindTrainStatus, wire.KindTrainWait, wire.KindUpdate,
-		wire.KindRemove:
-		return true
-	}
-	return false
-}
-
 // forwardRequest relays one request envelope to the leader and the leader's
 // response back to the origin client, preserving the request's Auth (the
 // leader authorizes the origin caller, not this node).
@@ -103,9 +89,6 @@ func (s *Server) handleReplSubscribe(ctx context.Context, cs *connState, env *wi
 	err := env.Decode(&req)
 	if err == nil && s.repl == nil {
 		err = errors.New("server: replication not enabled on this node")
-	}
-	if err == nil && env.ID == 0 {
-		err = errors.New("server: repl-subscribe requires protocol v2")
 	}
 	if err == nil {
 		err = s.repl.Subscribe(ctx, req, func(batch *wire.ReplRecords) error {

@@ -1,18 +1,15 @@
 // Package server exposes the MIE cloud component (core.Service) over TCP
 // using the wire protocol: the "MIE Server Component (as a Service)" box of
-// Figure 1. Each accepted connection is served by its own goroutine, and —
-// protocol v2 — each request on a connection is dispatched on its own
-// goroutine with a context.Context derived from the request's wire deadline,
-// so 16 pipelined searches from one phone proceed concurrently and a Cancel
-// frame can abandon any of them mid-flight. Requests framed by a v1 peer
-// (Envelope.ID zero) are served inline in lockstep, preserving the old
-// one-request-per-connection semantics without negotiation.
+// Figure 1. Each accepted connection is served by its own goroutine, and
+// each request on a connection is dispatched on its own goroutine with a
+// context.Context derived from the request's wire deadline, so 16 pipelined
+// searches from one phone proceed concurrently and a Cancel frame can
+// abandon any of them mid-flight. A request without an ID is a protocol
+// violation: the connection is dropped and counted as a malformed frame.
 //
 // Training is asynchronous: TrainStart launches a server-side job backed by
 // core's job table and returns immediately; TrainStatus/TrainWait poll or
-// await it. The v1 blocking Train kind is implemented on top of the same
-// jobs, so a v1 client still observes its old semantics while the engine
-// never ties a training run's lifetime to a socket.
+// await it, so the engine never ties a training run's lifetime to a socket.
 //
 // The server is fully instrumented: per-kind request/error counters,
 // in-flight gauges (total and per kind), wire-level byte counters, per-kind
@@ -274,9 +271,6 @@ func (cs *connState) writeEnv(id uint64, env *wire.Envelope) (int, error) {
 
 // register installs a cancel function for an in-flight request id.
 func (cs *connState) register(id uint64, cancel context.CancelFunc) {
-	if id == 0 {
-		return // v1 requests cannot be addressed by Cancel frames
-	}
 	cs.mu.Lock()
 	cs.inflight[id] = cancel
 	cs.mu.Unlock()
@@ -284,9 +278,6 @@ func (cs *connState) register(id uint64, cancel context.CancelFunc) {
 
 // unregister removes an in-flight entry.
 func (cs *connState) unregister(id uint64) {
-	if id == 0 {
-		return
-	}
 	cs.mu.Lock()
 	delete(cs.inflight, id)
 	cs.mu.Unlock()
@@ -315,13 +306,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	cs.ctx, cs.cancel = context.WithCancel(context.Background())
 	// Connection-scoped logger: every line of this connection carries the
-	// remote address and negotiated protocol version, so malformed-frame and
-	// cancel events are attributable to a peer. The version starts at 1 and
-	// is re-derived when the peer reveals itself as v2 (Hello frame or a
-	// multiplexed request id); only this read loop mutates clog, and handler
-	// goroutines capture it by value at spawn time.
-	proto := wire.ProtocolV1
-	clog := s.logger.With("remote", cs.remote, "proto", proto)
+	// remote address, so malformed-frame and cancel events are attributable
+	// to a peer.
+	clog := s.logger.With("remote", cs.remote)
 	clog.Debug("connection accepted")
 	defer func() {
 		// Unblock handlers first (TrainWait etc.), then wait for them so no
@@ -355,14 +342,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.met.rxBytes.Add(int64(n))
-		if proto == wire.ProtocolV1 && (env.Kind == wire.KindHello || env.ID != 0) {
-			proto = wire.ProtocolV2
-			clog = s.logger.With("remote", cs.remote, "proto", proto)
-		}
 		switch {
 		case env.Kind == wire.KindHello:
-			// Version negotiation: always answer v2 (a v1 server would have
-			// answered KindError, which is the client's fallback signal).
 			s.reg.Counter(obs.L("server_requests_total", "kind", env.Kind)).Inc()
 			wn, werr := cs.write(env.ID, wire.KindHelloResp, s.helloResp())
 			s.met.txBytes.Add(int64(wn))
@@ -394,23 +375,21 @@ func (s *Server) serveConn(conn net.Conn) {
 				clog.Debug("request canceled", "id", req.ID)
 			}
 		case env.ID == 0:
-			// v1 lockstep framing: handle inline so the response is written
-			// before the next request is read, exactly as protocol v1
-			// promises its peers.
-			if err := s.handle(cs, clog, env); err != nil {
-				clog.Info("reply failed", "err", err)
-				return
-			}
+			// A request its response cannot name: a protocol violation,
+			// handled like an undecodable frame.
+			s.met.malformed.Inc()
+			clog.Warn("request without an id; dropping connection", "kind", env.Kind)
+			return
 		default:
-			// v2 multiplexed framing: each request runs on its own goroutine;
-			// the write lock inside connState serializes response frames.
+			// Each request runs on its own goroutine; the write lock inside
+			// connState serializes response frames.
 			cs.handlers.Add(1)
-			go func(env *wire.Envelope, lg *obs.Logger) {
+			go func(env *wire.Envelope) {
 				defer cs.handlers.Done()
-				if err := s.handle(cs, lg, env); err != nil {
-					lg.Info("reply failed", "id", env.ID, "err", err)
+				if err := s.handle(cs, clog, env); err != nil {
+					clog.Info("reply failed", "id", env.ID, "err", err)
 				}
-			}(env, clog)
+			}(env)
 		}
 	}
 }
@@ -468,7 +447,7 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 	// A follower answers mutations and training by relaying them to the
 	// leader — before local admission, which the leader applies itself
 	// against the forwarded bearer token.
-	if s.forward != nil && forwarded(kind) {
+	if s.forward != nil && wire.LeaderOnly(kind) {
 		return s.forwardRequest(ctx, cs, env)
 	}
 
@@ -501,29 +480,6 @@ func (s *Server) handle(cs *connState, lg *obs.Logger, env *wire.Envelope) error
 			sp.Time("engine", func() {
 				_, err = s.svc.CreateRepository(req.RepoID, req.Opts.ToCore())
 			})
-		}
-		return s.writeAck(rq, err)
-
-	case wire.KindTrain:
-		// v1 blocking semantics on top of the async job table: start (or
-		// join) a job, then wait for it under the request context.
-		var req wire.TrainReq
-		err := s.decode(sp, env, &req)
-		if err == nil {
-			err = s.authorized(sp, req.RepoID, env.Auth)
-		}
-		if err == nil {
-			ectx, esp := sp.ChildContext(ctx, "engine")
-			var repo *core.Repository
-			var done func()
-			if repo, done, err = s.svc.Acquire(req.RepoID); err == nil {
-				var st core.TrainJobStatus
-				if st, err = repo.TrainWait(ectx, repo.TrainStart()); err == nil && st.State == core.TrainFailed {
-					err = errors.New(st.Err)
-				}
-				done()
-			}
-			esp.End()
 		}
 		return s.writeAck(rq, err)
 
@@ -767,9 +723,9 @@ func (s *Server) authorized(sp *obs.Span, repoID, token string) error {
 // handle; TraceGet is a diagnostics read outside any repository.
 func repoScoped(kind string) bool {
 	switch kind {
-	case wire.KindCreateRepo, wire.KindTrain, wire.KindTrainStart,
-		wire.KindTrainStatus, wire.KindTrainWait, wire.KindUpdate,
-		wire.KindRemove, wire.KindSearch, wire.KindGet:
+	case wire.KindCreateRepo, wire.KindTrainStart, wire.KindTrainStatus,
+		wire.KindTrainWait, wire.KindUpdate, wire.KindRemove, wire.KindSearch,
+		wire.KindGet:
 		return true
 	}
 	return false

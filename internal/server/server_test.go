@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -94,6 +95,18 @@ func dial(t *testing.T, srv *Server, meter *device.Meter) *client.Conn {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	return conn
+}
+
+// writeRequest writes one raw request frame with the given id.
+func writeRequest(t *testing.T, w io.Writer, id uint64, kind string, payload interface{}) {
+	t.Helper()
+	env, err := wire.NewEnvelope(kind, "", id, 0, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.WriteEnvelope(w, env); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func smallOpts() wire.RepoOptions {
@@ -319,15 +332,13 @@ func TestUnknownKindGetsErrorResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := wire.WriteFrame(raw, "bogus-kind", wire.Ack{}); err != nil {
-		t.Fatal(err)
-	}
+	writeRequest(t, raw, 1, "bogus-kind", wire.Ack{})
 	env, _, err := wire.ReadFrame(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Kind != wire.KindError {
-		t.Errorf("kind = %s, want error", env.Kind)
+	if env.Kind != wire.KindError || env.ID != 1 {
+		t.Errorf("kind = %s, id = %d, want error for request 1", env.Kind, env.ID)
 	}
 }
 

@@ -24,11 +24,7 @@ func FuzzReadFrame(f *testing.F) {
 	// Seed corpus: well-formed frames of every request/response kind plus a
 	// few interesting corruptions (see also testdata/fuzz/FuzzReadFrame).
 	seed := func(kind string, payload interface{}) {
-		var buf bytes.Buffer
-		if _, err := WriteFrame(&buf, kind, payload); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(encodeFrame(f, kind, payload))
 	}
 	seed(KindSearch, SearchReq{RepoID: "r", Query: core.Query{K: 10}})
 	seed(KindAck, Ack{Err: "boom"})
@@ -147,11 +143,7 @@ func FuzzReplRecordDecode(f *testing.F) {
 func FuzzEnvelopeDecode(f *testing.F) {
 	f.Add("search", []byte{})
 	f.Add("ack", []byte{0xde, 0xad})
-	var body bytes.Buffer
-	if _, err := WriteFrame(&body, KindSearch, SearchReq{RepoID: "q"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(KindSearch, body.Bytes())
+	f.Add(KindSearch, encodeFrame(f, KindSearch, SearchReq{RepoID: "q"}))
 
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		env := &Envelope{Kind: kind, Data: data}

@@ -6,8 +6,8 @@ import (
 	"hash/crc32"
 )
 
-// Replication kinds (v2-only: repl-subscribe requires a nonzero envelope ID
-// because records stream back as many frames echoing it).
+// Replication kinds. Records stream back to a repl-subscribe request as
+// many frames echoing its ID.
 const (
 	// KindReplSubscribe opens a replication stream for one repository (or
 	// the catalog stream when RepoID is empty). The server answers with a
@@ -22,6 +22,19 @@ const (
 	// only updates its lag accounting and trim watermark.
 	KindReplAck = "repl-ack"
 )
+
+// LeaderOnly reports whether a request kind must be answered by the
+// replication leader: everything that writes state or touches the
+// leader-resident training job table. Routers send these kinds to the
+// leader and followers forward them there; reads stay on any node.
+func LeaderOnly(kind string) bool {
+	switch kind {
+	case KindCreateRepo, KindTrainStart, KindTrainStatus, KindTrainWait,
+		KindUpdate, KindRemove:
+		return true
+	}
+	return false
+}
 
 // Replication record kinds: what a ReplRecord payload contains.
 const (

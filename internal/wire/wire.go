@@ -4,23 +4,16 @@
 // transport security is orthogonal to the scheme and stdlib crypto/tls
 // wraps net.Conn directly).
 //
-// # Protocol versions
+// # Protocol
 //
-// Version 1 is lockstep: one request per connection at a time, the response
-// written before the next request is read, with Envelope.ID zero. Version 2
-// multiplexes: every request carries a nonzero ID, responses echo the ID of
-// the request they answer, and may arrive in any order; requests may carry a
-// deadline (a relative time budget, immune to clock skew) and may be
-// abandoned early with a Cancel frame naming the in-flight ID.
-//
-// The two versions share one frame and envelope format. Gob tolerates both
-// unknown and missing struct fields, so a v1 peer decodes v2 envelopes
-// (ignoring ID and TimeoutNanos) and a v2 peer decodes v1 envelopes (seeing
-// ID zero, which *is* the v1 marker). A v2 client announces itself with a
-// Hello frame; a v2 server answers HelloResp, while a v1 server answers
-// KindError ("unknown kind"), telling the client to fall back to lockstep.
-// A v1 client never sends Hello and never sets IDs, so a v2 server serves
-// it in lockstep without any negotiation.
+// The protocol (version 2) multiplexes: every request carries a nonzero
+// ID, responses echo the ID of the request they answer, and may arrive in
+// any order; requests may carry a deadline (a relative time budget, immune
+// to clock skew) and may be abandoned early with a Cancel frame naming the
+// in-flight ID. Only the hello, cancel and repl-ack kinds may be sent with
+// ID zero: a request of any other kind with ID zero is a protocol
+// violation, and the server and the router drop the connection as they do
+// for an undecodable frame. A client opens each connection with Handshake.
 package wire
 
 import (
@@ -36,15 +29,10 @@ import (
 	"mie/internal/core"
 )
 
-// Protocol versions negotiated by Hello/HelloResp.
-const (
-	// ProtocolV1 is the lockstep protocol: ID-less envelopes, one request
-	// in flight per connection.
-	ProtocolV1 = 1
-	// ProtocolV2 is the multiplexed protocol: per-request IDs, deadlines,
-	// cancellation and asynchronous training jobs.
-	ProtocolV2 = 2
-)
+// ProtocolV2 is the protocol version exchanged by Hello/HelloResp: the
+// multiplexed protocol with per-request IDs, deadlines, cancellation and
+// asynchronous training jobs.
+const ProtocolV2 = 2
 
 // MaxFrameSize bounds a single frame; oversized frames indicate a corrupt
 // or malicious peer and abort the connection rather than exhausting memory.
@@ -70,7 +58,6 @@ func IsMalformed(err error) bool {
 // Message kinds.
 const (
 	KindCreateRepo = "create-repo"
-	KindTrain      = "train"
 	KindUpdate     = "update"
 	KindRemove     = "remove"
 	KindSearch     = "search"
@@ -80,10 +67,8 @@ const (
 	KindGetResp    = "get-resp"
 	KindError      = "error"
 
-	// v2 kinds.
-
-	// KindHello opens version negotiation; a v2 server answers
-	// KindHelloResp, a v1 server answers KindError.
+	// KindHello opens a connection (see Handshake); the server answers
+	// KindHelloResp.
 	KindHello     = "hello"
 	KindHelloResp = "hello-resp"
 	// KindCancel abandons an in-flight request by ID. It is fire-and-forget:
@@ -105,13 +90,14 @@ const (
 )
 
 // Envelope is one protocol message: a kind tag, an optional bearer
-// authorization token (see internal/auth), v2 multiplexing metadata and the
+// authorization token (see internal/auth), multiplexing metadata and the
 // gob encoding of the kind's payload struct.
 type Envelope struct {
 	Kind string
 	Auth string
-	// ID correlates a response with its request on a multiplexed (v2)
-	// connection. Zero means v1 lockstep framing.
+	// ID correlates a response with its request on a multiplexed
+	// connection. It is nonzero on every request except the hello, cancel
+	// and repl-ack kinds.
 	ID uint64
 	// TimeoutNanos is the remaining time budget of the request at send time
 	// (relative, so peers need not share a clock); 0 means no deadline.
@@ -121,8 +107,7 @@ type Envelope struct {
 	// the trace this request belongs to and the client span the server-side
 	// spans should parent under. Zero means untraced. TraceSampled carries
 	// the client's head-sampling decision so both sides keep the same
-	// traces. Gob tolerates missing fields, so v1 peers (which never set
-	// these) interoperate unchanged.
+	// traces.
 	TraceID      uint64
 	SpanID       uint64
 	TraceSampled bool
@@ -139,7 +124,7 @@ func (e *Envelope) Timeout() (time.Duration, bool) {
 
 // Request payloads.
 type (
-	// Hello announces a v2-capable client.
+	// Hello opens a connection.
 	Hello struct {
 		// MaxVersion is the highest protocol version the client speaks.
 		MaxVersion int
@@ -163,8 +148,8 @@ type (
 		TrainingSampleCap int
 		FusionCandidates  int
 	}
-	// TrainReq triggers server-side training: synchronously for KindTrain
-	// (v1) and asynchronously for KindTrainStart (v2).
+	// TrainReq starts an asynchronous server-side training job
+	// (KindTrainStart).
 	TrainReq struct {
 		RepoID string
 	}
@@ -201,8 +186,8 @@ type (
 
 // Error codes carried by response frames alongside the human-readable Err
 // string, so clients match on a stable code instead of message text. Gob
-// tolerates missing fields, so a v1 (or older) peer that never sets a code
-// yields ErrCodeUnspecified and everything still interoperates.
+// tolerates missing fields, so a frame that carries no code decodes as
+// ErrCodeUnspecified.
 const (
 	// ErrCodeUnspecified is the zero value: an error with no machine-
 	// readable classification (or a frame from a peer predating codes).
@@ -376,8 +361,8 @@ func FromCore(opts core.RepositoryOptions) RepoOptions {
 	}
 }
 
-// NewEnvelope gob-encodes payload into an envelope carrying the given v2
-// metadata. A zero id and timeout produce a v1-compatible envelope.
+// NewEnvelope gob-encodes payload into an envelope carrying the given
+// request ID and relative deadline (0 = none).
 func NewEnvelope(kind, authToken string, id uint64, timeout time.Duration, payload interface{}) (*Envelope, error) {
 	var body bytes.Buffer
 	if payload != nil {
@@ -416,21 +401,6 @@ func WriteEnvelope(w io.Writer, env *Envelope) (int, error) {
 	return 4 + n, nil
 }
 
-// WriteFrame gob-encodes payload into a v1 (ID-less) envelope of the given
-// kind and writes it as one length-prefixed frame.
-func WriteFrame(w io.Writer, kind string, payload interface{}) (int, error) {
-	return WriteFrameAuth(w, kind, "", payload)
-}
-
-// WriteFrameAuth is WriteFrame with a bearer authorization token attached.
-func WriteFrameAuth(w io.Writer, kind, authToken string, payload interface{}) (int, error) {
-	env, err := NewEnvelope(kind, authToken, 0, 0, payload)
-	if err != nil {
-		return 0, err
-	}
-	return WriteEnvelope(w, env)
-}
-
 // ReadFrame reads one envelope. It returns the envelope, its size on the
 // wire, and any error (io.EOF on clean shutdown).
 func ReadFrame(r io.Reader) (*Envelope, int, error) {
@@ -454,6 +424,34 @@ func ReadFrame(r io.Reader) (*Envelope, int, error) {
 		return nil, 0, fmt.Errorf("%w: decode envelope: %v", ErrMalformed, err)
 	}
 	return &env, 4 + int(size), nil
+}
+
+// Handshake opens a connection: it sends Hello and reads the peer's answer,
+// which must be a HelloResp for protocol version 2 or later. Callers set
+// their own dial timeouts and deadlines on rw.
+func Handshake(rw io.ReadWriter) (HelloResp, error) {
+	var hr HelloResp
+	env, err := NewEnvelope(KindHello, "", 0, 0, Hello{MaxVersion: ProtocolV2})
+	if err != nil {
+		return hr, err
+	}
+	if _, err := WriteEnvelope(rw, env); err != nil {
+		return hr, fmt.Errorf("wire: hello: %w", err)
+	}
+	resp, _, err := ReadFrame(rw)
+	if err != nil {
+		return hr, fmt.Errorf("wire: hello response: %w", err)
+	}
+	if resp.Kind != KindHelloResp {
+		return hr, fmt.Errorf("wire: peer answered hello with %q, not protocol v2", resp.Kind)
+	}
+	if err := resp.Decode(&hr); err != nil {
+		return hr, err
+	}
+	if hr.Version < ProtocolV2 {
+		return hr, fmt.Errorf("wire: peer speaks protocol version %d, not protocol v2", hr.Version)
+	}
+	return hr, nil
 }
 
 // Decode unpacks the envelope payload into v.

@@ -12,32 +12,51 @@ import (
 	"mie/internal/vec"
 )
 
+// encodeFrame returns one length-prefixed frame of the given kind carrying
+// payload under request ID 1.
+func encodeFrame(tb testing.TB, kind string, payload interface{}) []byte {
+	tb.Helper()
+	env, err := NewEnvelope(kind, "", 1, 0, payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := WriteEnvelope(&buf, env); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	req := SearchReq{RepoID: "r1", Query: core.Query{K: 5}}
-	n, err := WriteFrame(&buf, KindSearch, req)
+	env, err := NewEnvelope(KindSearch, "", 1, 0, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := WriteEnvelope(&buf, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != buf.Len() {
 		t.Errorf("reported %d bytes, wrote %d", n, buf.Len())
 	}
-	env, rn, err := ReadFrame(&buf)
+	got, rn, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rn != n {
 		t.Errorf("read %d bytes, wrote %d", rn, n)
 	}
-	if env.Kind != KindSearch {
-		t.Errorf("kind = %s", env.Kind)
+	if got.Kind != KindSearch || got.ID != 1 {
+		t.Errorf("kind = %s, id = %d", got.Kind, got.ID)
 	}
-	var got SearchReq
-	if err := env.Decode(&got); err != nil {
+	var dec SearchReq
+	if err := got.Decode(&dec); err != nil {
 		t.Fatal(err)
 	}
-	if got.RepoID != "r1" || got.Query.K != 5 {
-		t.Errorf("decoded %+v", got)
+	if dec.RepoID != "r1" || dec.Query.K != 5 {
+		t.Errorf("decoded %+v", dec)
 	}
 }
 
@@ -54,11 +73,7 @@ func TestFrameCarriesEncodings(t *testing.T) {
 			ImageEncodings: []vec.BitVec{bv},
 		},
 	}
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, KindUpdate, up); err != nil {
-		t.Fatal(err)
-	}
-	env, _, err := ReadFrame(&buf)
+	env, _, err := ReadFrame(bytes.NewReader(encodeFrame(t, KindUpdate, up)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +100,8 @@ func TestReadFrameEOF(t *testing.T) {
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, KindAck, Ack{}); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
+	frame := encodeFrame(t, KindAck, Ack{})
+	trunc := frame[:len(frame)-3]
 	if _, _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
 		t.Error("expected error for truncated body")
 	}
@@ -129,11 +141,7 @@ func TestRepoOptionsToCore(t *testing.T) {
 }
 
 func TestDecodeWrongType(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, KindAck, Ack{Err: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	env, _, err := ReadFrame(&buf)
+	env, _, err := ReadFrame(bytes.NewReader(encodeFrame(t, KindAck, Ack{Err: "x"})))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
+	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,64 +39,6 @@ func TestEnvelopeCarriesIDAndTimeout(t *testing.T) {
 	}
 }
 
-func TestV1EnvelopeReadsAsIDZero(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, KindTrain, TrainReq{RepoID: "r"}); err != nil {
-		t.Fatal(err)
-	}
-	env, _, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.ID != 0 {
-		t.Errorf("v1 frame decoded with ID %d", env.ID)
-	}
-	if _, ok := env.Timeout(); ok {
-		t.Error("v1 frame decoded with a deadline")
-	}
-}
-
-// v1Envelope is the envelope struct as it existed before protocol v2 (no ID,
-// no deadline). Cross-version compatibility rests on gob tolerating the
-// field difference in both directions; this test pins that property.
-type v1Envelope struct {
-	Kind string
-	Auth string
-	Data []byte
-}
-
-func TestCrossVersionEnvelopeCompatibility(t *testing.T) {
-	// v2 writer -> v1 reader: the extra fields are ignored.
-	env, err := NewEnvelope(KindSearch, "a", 7, time.Second, SearchReq{RepoID: "x", Query: core.Query{K: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(*env); err != nil {
-		t.Fatal(err)
-	}
-	var v1 v1Envelope
-	if err := gob.NewDecoder(bytes.NewReader(frame.Bytes())).Decode(&v1); err != nil {
-		t.Fatalf("v1 peer cannot decode v2 envelope: %v", err)
-	}
-	if v1.Kind != KindSearch || v1.Auth != "a" || len(v1.Data) == 0 {
-		t.Errorf("v1 view of v2 envelope: %+v", v1)
-	}
-
-	// v1 writer -> v2 reader: missing fields zero out, which marks lockstep.
-	frame.Reset()
-	if err := gob.NewEncoder(&frame).Encode(v1Envelope{Kind: KindGet, Auth: "b", Data: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	var v2 Envelope
-	if err := gob.NewDecoder(bytes.NewReader(frame.Bytes())).Decode(&v2); err != nil {
-		t.Fatalf("v2 peer cannot decode v1 envelope: %v", err)
-	}
-	if v2.ID != 0 || v2.TimeoutNanos != 0 || v2.Kind != KindGet {
-		t.Errorf("v2 view of v1 envelope: %+v", v2)
-	}
-}
-
 func TestRepoOptionsFromCoreRoundTrip(t *testing.T) {
 	w := RepoOptions{VocabWords: 500, VocabMaxIter: 7, TreeBranch: 4, TreeHeight: 2, TreeSeed: 9, TrainingSampleCap: 100, FusionCandidates: 30}
 	if got := FromCore(w.ToCore()); got != w {
@@ -122,5 +65,21 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if hello.MaxVersion != ProtocolV2 {
 		t.Errorf("MaxVersion = %d", hello.MaxVersion)
+	}
+}
+
+func TestHandshakeRejectsNonV2Peer(t *testing.T) {
+	for name, answer := range map[string][]byte{
+		"error":      encodeFrame(t, KindError, Ack{Err: "unknown kind: hello"}),
+		"version-1":  encodeFrame(t, KindHelloResp, HelloResp{Version: 1}),
+		"no-version": encodeFrame(t, KindHelloResp, HelloResp{}),
+	} {
+		peer := struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(answer), io.Discard}
+		if _, err := Handshake(peer); err == nil || !strings.Contains(err.Error(), "protocol v2") {
+			t.Errorf("%s: err = %v, want a protocol v2 error", name, err)
+		}
 	}
 }

@@ -42,7 +42,8 @@ go test -race -shuffle=on -cover ./...
 # leaks between runs of a test (process-global counters, slots held past a
 # reply) and order dependence the single pass above can miss. Packages join
 # this list once they pass it; a failure is fixed in the code.
-go test -race -count=2 -shuffle=on ./internal/dpe ./internal/vec ./internal/index ./internal/device ./internal/server
+go test -race -count=2 -shuffle=on ./internal/dpe ./internal/vec ./internal/index ./internal/device ./internal/server \
+    ./internal/wire ./internal/client ./internal/router ./internal/replica
 
 # Incremental-training smoke (~seconds at quick scale, well under its 30 s
 # budget): retrain-after-churn must keep resolving through the incremental
