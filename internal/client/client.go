@@ -21,6 +21,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -350,8 +351,9 @@ func (t *transport) writeLoop() {
 // request ID it echoes. Frames for unknown IDs are responses to abandoned
 // (canceled) requests and are dropped. A read error poisons the transport.
 func (t *transport) readLoop() {
+	br := bufio.NewReader(t.tcp)
 	for {
-		env, n, err := wire.ReadFrame(t.tcp)
+		env, n, err := wire.ReadFrame(br)
 		if err != nil {
 			t.fail(fmt.Errorf("client: read response: %w", err))
 			return

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -219,8 +220,9 @@ func (f *Follower) session() (progressed bool, err error) {
 	}
 	f.connected.Store(true)
 
+	br := bufio.NewReader(conn)
 	for {
-		env, _, err := wire.ReadFrame(conn)
+		env, _, err := wire.ReadFrame(br)
 		if err != nil {
 			return s.progressed, err
 		}
@@ -411,6 +413,7 @@ func (s *session) applyCatalog(rec *wire.ReplRecord) error {
 		if err != nil && !errors.Is(err, core.ErrRepoExists) {
 			return fmt.Errorf("create %q: %w", ev.RepoID, err)
 		}
+		s.f.trackStream(ev.RepoID)
 		return s.subscribe(ev.RepoID)
 	case wire.ReplDrop:
 		s.unsubscribeLocal(ev.RepoID)
@@ -426,6 +429,18 @@ func (s *session) applyCatalog(rec *wire.ReplRecord) error {
 func (f *Follower) setCursor(repoID string, c Cursor) {
 	f.mu.Lock()
 	f.cursors[repoID] = c
+	f.mu.Unlock()
+}
+
+// trackStream gives a stream a cursor entry if it has none, so a session
+// that breaks after the catalog announced the repository but before its
+// first record arrived still resubscribes it: the catalog stream resumes
+// past the announcement and will not repeat it.
+func (f *Follower) trackStream(repoID string) {
+	f.mu.Lock()
+	if _, ok := f.cursors[repoID]; !ok {
+		f.cursors[repoID] = Cursor{}
+	}
 	f.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -307,8 +308,9 @@ func (r *Router) serveConn(conn net.Conn) {
 	cs := &connState{conn: conn, inflight: make(map[uint64]context.CancelFunc)}
 	var relays sync.WaitGroup
 	defer relays.Wait()
+	br := bufio.NewReader(conn)
 	for {
-		env, _, err := wire.ReadFrame(conn)
+		env, _, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -344,13 +346,13 @@ func (r *Router) serveConn(conn net.Conn) {
 
 // readTargets returns the candidate backends for a read, in preference
 // order: the repository's ring walk when a repo id is present, otherwise
-// just the leader.
+// just the leader. The id is read from the frame without decoding it.
 func (r *Router) readTargets(env *wire.Envelope) []*backend {
-	var p struct{ RepoID string }
-	if err := env.Decode(&p); err != nil || p.RepoID == "" {
+	repoID := env.RepoID()
+	if repoID == "" {
 		return []*backend{r.leader}
 	}
-	prefer := r.ring.Prefer(p.RepoID)
+	prefer := r.ring.Prefer(repoID)
 	out := make([]*backend, 0, len(prefer))
 	for _, name := range prefer {
 		out = append(out, r.backends[name])

@@ -188,3 +188,104 @@ func TestRouterDropsRequestWithoutID(t *testing.T) {
 		t.Errorf("router_requests_total = %d, want 0 (ID-0 request relayed)", got)
 	}
 }
+
+// TestRouterRoutesReadsToHomeNode: with two live, caught-up members, a
+// search and a get for a repository homed on the non-leader must be served
+// by that member — the router reads the repo id from the frame, not from a
+// payload decode that could silently fall back to the leader. Each node's
+// own registry says who served what.
+func TestRouterRoutesReadsToHomeNode(t *testing.T) {
+	leakcheck.Check(t)
+	type node struct {
+		svc *core.Service
+		srv *server.Server
+		reg *obs.Registry
+	}
+	start := func(opts ...server.Option) node {
+		svc, _, err := core.OpenService(core.ServiceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		srv, err := server.New("127.0.0.1:0", svc, nil, append(opts, server.WithObservability(reg))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node{svc, srv, reg}
+	}
+	leader := start()
+	replica := start(server.WithNodeStatus(func() server.NodeStatus {
+		return server.NodeStatus{Role: "follower", CaughtUp: true}
+	}))
+	for _, n := range []node{leader, replica} {
+		n := n
+		defer func() { _ = n.svc.Close() }()
+		defer func() { _ = n.srv.Close() }()
+	}
+	rt, err := Start(Config{
+		Nodes:          []Node{{Name: "leader", Addr: leader.srv.Addr()}, {Name: "replica", Addr: replica.srv.Addr()}},
+		HealthInterval: 20 * time.Millisecond,
+		Registry:       obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = rt.Close() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !rt.backends["replica"].eligible() {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never became eligible for reads")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	var repoID string
+	for i := 0; repoID == ""; i++ {
+		if id := fmt.Sprintf("repo-%04d", i); rt.Ring().Prefer(id)[0] == "replica" {
+			repoID = id
+		}
+	}
+	// The repository lives on the replica only (no replication here), so a
+	// read routed to the leader fails outright as well as being miscounted.
+	cc, err := core.NewClient(core.ClientConfig{Key: core.RepositoryKey{Master: routerTestKey(2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := replica.svc.CreateRepository(repoID, core.RepositoryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := cc.PrepareUpdate(&core.Object{ID: "o", Owner: "u", Text: "homed document"}, routerTestKey(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := repo.Update(up); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := client.Dial(rt.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	ctx := context.Background()
+	q, err := cc.PrepareQuery(&core.Object{ID: "q", Text: "homed document"}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, err := conn.Search(ctx, repoID, q); err != nil || len(hits) != 1 || hits[0].ObjectID != "o" {
+		t.Fatalf("search %s = %v, %v; want [o]", repoID, hits, err)
+	}
+	if _, owner, err := conn.Get(ctx, repoID, "o"); err != nil || owner != "u" {
+		t.Fatalf("get %s = owner %q, %v", repoID, owner, err)
+	}
+	for _, kind := range []string{wire.KindSearch, wire.KindGet} {
+		name := obs.L("server_requests_total", "kind", kind)
+		if got := replica.reg.Counter(name).Value(); got != 1 {
+			t.Errorf("replica served %d %s requests, want 1", got, kind)
+		}
+		if got := leader.reg.Counter(name).Value(); got != 0 {
+			t.Errorf("leader served %d %s requests, want 0", got, kind)
+		}
+	}
+}

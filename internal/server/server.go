@@ -20,6 +20,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -321,8 +322,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close() // double-close on shutdown path is harmless
 	}()
+	br := bufio.NewReader(conn)
 	for {
-		env, n, err := wire.ReadFrame(conn)
+		env, n, err := wire.ReadFrame(br)
 		if err != nil {
 			// Classify the abort: a clean disconnect is business as usual, a
 			// malformed frame means a corrupt or hostile peer, anything else

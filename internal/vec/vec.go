@@ -187,6 +187,16 @@ func (b BitVec) Words() []uint64 {
 	return out
 }
 
+// AppendLittleEndian appends the packed words to dst, each in little-endian
+// byte order (so byte j holds bits 8j..8j+7), and returns the extended
+// slice. It is the allocation-free counterpart of Words for serializers.
+func (b BitVec) AppendLittleEndian(dst []byte) []byte {
+	for _, w := range b.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
 // Set sets bit i to v.
 func (b BitVec) Set(i int, v bool) {
 	if i < 0 || i >= b.n {

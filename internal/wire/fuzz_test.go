@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"mie/internal/core"
+	"mie/internal/dpe"
+	"mie/internal/vec"
 )
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame decoder. The
@@ -32,6 +34,12 @@ func FuzzReadFrame(f *testing.F) {
 	seed(KindCancel, CancelReq{ID: 99})
 	seed(KindHello, Hello{MaxVersion: ProtocolV2})
 	seed(KindTrainWait, TrainJobReq{RepoID: "r", JobID: 7})
+	seed(KindUpdate, UpdateReq{RepoID: "r", Update: core.Update{ObjectID: "o", Ciphertext: []byte("ct"),
+		TextTokens: map[dpe.Token]uint64{{7}: 2}, ImageEncodings: []vec.BitVec{vec.NewBitVec(130)}}})
+	seed(KindSearchResp, SearchResp{Hits: []core.SearchHit{{ObjectID: "a", Score: 0.5, Ciphertext: []byte{1}}}})
+	seed(KindReplRecords, ReplRecords{RepoID: "r", Records: []ReplRecord{NewReplRecord(1, 1, ReplMutation, 9, []byte("rec"))}})
+	seed("not-a-kind", nil)
+	f.Add(goldenSearchFrame(f))
 	var v2 bytes.Buffer
 	env, err := NewEnvelope(KindSearch, "token", 123, 5*time.Second, SearchReq{RepoID: "x"})
 	if err != nil {
@@ -72,11 +80,14 @@ func FuzzReadFrame(f *testing.F) {
 		if n < 4 || n > len(data) {
 			t.Errorf("reported size %d outside [4, %d]", n, len(data))
 		}
-		// A successfully decoded envelope must survive re-encoding, and its
-		// payload decode must not panic regardless of content.
+		// A successfully decoded envelope re-encodes to the bytes it came
+		// from (the header is canonical), and its payload decode must not
+		// panic regardless of content.
 		var buf bytes.Buffer
 		if _, werr := WriteEnvelope(&buf, env); werr != nil {
 			t.Errorf("re-encode of decoded envelope failed: %v", werr)
+		} else if !bytes.Equal(buf.Bytes(), data[:n]) {
+			t.Errorf("re-encoded frame differs:\n got %x\nwant %x", buf.Bytes(), data[:n])
 		}
 		var ack Ack
 		_ = env.Decode(&ack)
@@ -110,6 +121,7 @@ func FuzzReplRecordDecode(f *testing.F) {
 	corrupt.CRC ^= 0xffffffff
 	seed(ReplRecords{RepoID: "", Records: []ReplRecord{corrupt}})
 	seed(ReplRecords{Err: "repository gone", Code: ErrCodeRepoNotFound, RepoID: "x"})
+	seed(ReplRecords{RepoID: "r", Records: []ReplRecord{NewReplRecord(2, 1<<40, ReplSnapshot, -1, nil)}})
 	f.Add([]byte{})
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef})
 
@@ -117,7 +129,7 @@ func FuzzReplRecordDecode(f *testing.F) {
 		env := &Envelope{Kind: KindReplRecords, Data: data}
 		var batch ReplRecords
 		if err := env.Decode(&batch); err != nil {
-			return // malformed gob: rejected before any record is seen
+			return // malformed batch: rejected before any record is seen
 		}
 		for i := range batch.Records {
 			rec := &batch.Records[i]
@@ -153,5 +165,67 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		_ = env.Decode(&sr)
 		var tj TrainJobResp
 		_ = env.Decode(&tj)
+	})
+}
+
+// binaryPayloads lists every payload with a binary codec, with a sample
+// value of each for the seed corpus.
+var binaryPayloads = []struct {
+	kind   string
+	new    func() binaryDecoder
+	sample interface{}
+}{
+	{KindSearch, func() binaryDecoder { return new(SearchReq) }, SearchReq{RepoID: "r", Query: core.Query{
+		TextTokens: map[dpe.Token]uint64{{1}: 1, {2}: 300}, ImageEncodings: []vec.BitVec{vec.NewBitVec(70)}, K: 10}}},
+	{KindSearchResp, func() binaryDecoder { return new(SearchResp) }, SearchResp{Hits: []core.SearchHit{{ObjectID: "o", Owner: "u", Score: 1, Ciphertext: []byte("ct")}}}},
+	{KindUpdate, func() binaryDecoder { return new(UpdateReq) }, UpdateReq{RepoID: "r", Update: core.Update{ObjectID: "o", Ciphertext: []byte("ct"),
+		AudioEncodings: []vec.BitVec{vec.NewBitVec(8), vec.NewBitVec(8)}}}},
+	{KindGet, func() binaryDecoder { return new(GetReq) }, GetReq{RepoID: "r", ObjectID: "o"}},
+	{KindGetResp, func() binaryDecoder { return new(GetResp) }, GetResp{Ciphertext: []byte("ct"), Owner: "u"}},
+	{KindAck, func() binaryDecoder { return new(Ack) }, Ack{Err: "quota", Code: ErrCodeOverQuota, RetryAfterNanos: 5e8}},
+	{KindReplRecords, func() binaryDecoder { return new(ReplRecords) }, ReplRecords{RepoID: "r", Records: []ReplRecord{NewReplRecord(1, 2, ReplMutation, 3, []byte("rec"))}}},
+}
+
+// FuzzPayloadDecode feeds arbitrary bytes to every binary payload decoder
+// (which selects one). A decoder must never panic; a payload it accepts
+// must re-encode to exactly the same bytes (the encoding is canonical); and
+// what it allocates stays proportional to its input, because every count is
+// checked against the remaining bytes before anything is allocated for it.
+//
+// Run the long version with:
+//
+//	go test -run='^$' -fuzz=FuzzPayloadDecode -fuzztime=30s ./internal/wire
+func FuzzPayloadDecode(f *testing.F) {
+	for i, p := range binaryPayloads {
+		env, err := NewEnvelope(p.kind, "", 1, 0, p.sample)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), env.Data)
+		f.Add(uint8(i), env.Data[:len(env.Data)/2])
+	}
+	f.Add(uint8(0), []byte{0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		p := binaryPayloads[int(which)%len(binaryPayloads)]
+		v := p.new()
+		var err error
+		n := allocatedBytes(func() { err = (&Envelope{Kind: p.kind, Data: data}).Decode(v) })
+		if limit := uint64(64*len(data) + 64<<10); n > limit {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", p.kind, len(data), n)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Errorf("%s: decode error %v is not ErrMalformed", p.kind, err)
+			}
+			return
+		}
+		env, err := NewEnvelope(p.kind, "", 1, 0, v)
+		if err != nil {
+			t.Fatalf("%s: re-encode of a decoded payload failed: %v", p.kind, err)
+		}
+		if !bytes.Equal(env.Data, data) {
+			t.Errorf("%s: re-encoded payload differs:\n got %x\nwant %x", p.kind, env.Data, data)
+		}
 	})
 }

@@ -1,8 +1,27 @@
 // Package wire is the framing layer of the MIE network protocol: length-
-// prefixed frames carrying gob-encoded envelopes. All client-server traffic
-// of Figure 1 flows through it (in deployment, inside a TLS tunnel;
-// transport security is orthogonal to the scheme and stdlib crypto/tls
-// wraps net.Conn directly).
+// prefixed binary frames, each a fixed header followed by the payload. All
+// client-server traffic of Figure 1 flows through it (in deployment, inside
+// a TLS tunnel; transport security is orthogonal to the scheme and stdlib
+// crypto/tls wraps net.Conn directly).
+//
+// # Frames
+//
+// A frame is a 4-byte big-endian length and that many bytes:
+//
+//	format        1 byte, 0xB2
+//	kind          uvarint length, then the kind string
+//	auth          uvarint length, then the bearer token
+//	ID            8 bytes, big-endian
+//	TimeoutNanos  8 bytes, big-endian
+//	TraceID       8 bytes, big-endian
+//	SpanID        8 bytes, big-endian
+//	flags         1 byte: bit 0 TraceSampled, other bits zero
+//	payload       the rest of the frame
+//
+// The hot payloads (SearchReq, SearchResp, UpdateReq, GetReq, GetResp, Ack
+// and ReplRecords) have binary codecs over the packed code words (see
+// codec.go); the control kinds carry gob. A frame whose format byte is not
+// 0xB2 (a gob-framed peer, say) is ErrMalformed.
 //
 // # Protocol
 //
@@ -23,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"mie/internal/auth"
@@ -91,7 +111,7 @@ const (
 
 // Envelope is one protocol message: a kind tag, an optional bearer
 // authorization token (see internal/auth), multiplexing metadata and the
-// gob encoding of the kind's payload struct.
+// encoding of the kind's payload struct.
 type Envelope struct {
 	Kind string
 	Auth string
@@ -185,12 +205,10 @@ type (
 )
 
 // Error codes carried by response frames alongside the human-readable Err
-// string, so clients match on a stable code instead of message text. Gob
-// tolerates missing fields, so a frame that carries no code decodes as
-// ErrCodeUnspecified.
+// string, so clients match on a stable code instead of message text.
 const (
 	// ErrCodeUnspecified is the zero value: an error with no machine-
-	// readable classification (or a frame from a peer predating codes).
+	// readable classification.
 	ErrCodeUnspecified = 0
 	// ErrCodeExists: the repository already exists (core.ErrRepoExists).
 	ErrCodeExists = 1
@@ -259,9 +277,7 @@ func Sentinel(code int) error {
 type (
 	// HelloResp answers a Hello with the version the server selected.
 	// The remaining fields describe the node's replication role — the
-	// router's health probe reads them to prefer caught-up replicas. Gob
-	// tolerates missing fields, so peers predating replication see a
-	// zero Role and everything interoperates.
+	// router's health probe reads them to prefer caught-up replicas.
 	HelloResp struct {
 		Version int
 		// Role is "leader", "follower" or empty (replication not enabled).
@@ -272,10 +288,10 @@ type (
 		// LagNanos is the follower's last observed replication lag.
 		LagNanos int64
 	}
-	// Ack acknowledges a mutation; Err is empty on success. Code classifies
-	// the error (ErrCode* constants) and RetryAfterNanos, when positive,
-	// hints when a rejected request may be retried — both zero on frames
-	// from peers predating typed errors.
+	// Ack acknowledges a mutation, and is the payload of error replies;
+	// Err is empty on success. Code classifies the error (ErrCode*
+	// constants) and RetryAfterNanos, when positive, hints when a rejected
+	// request may be retried.
 	Ack struct {
 		Err             string
 		Code            int
@@ -361,48 +377,109 @@ func FromCore(opts core.RepositoryOptions) RepoOptions {
 	}
 }
 
-// NewEnvelope gob-encodes payload into an envelope carrying the given
-// request ID and relative deadline (0 = none).
+// NewEnvelope encodes payload into an envelope carrying the given request
+// ID and relative deadline (0 = none): with its binary codec when it has
+// one, as gob otherwise. payload must not be a nil pointer.
 func NewEnvelope(kind, authToken string, id uint64, timeout time.Duration, payload interface{}) (*Envelope, error) {
-	var body bytes.Buffer
-	if payload != nil {
+	var data []byte
+	switch p := payload.(type) {
+	case nil:
+	case binaryEncoder:
+		// Encode into a pooled buffer, then copy out exactly once.
+		bp := framePool.Get().(*[]byte)
+		b, err := p.appendBinary((*bp)[:0])
+		if err == nil {
+			data = append([]byte(nil), b...)
+		}
+		putFrameBuffer(bp, b)
+		if err != nil {
+			return nil, fmt.Errorf("wire: encode %s payload: %w", kind, err)
+		}
+	default:
+		var body bytes.Buffer
 		if err := gob.NewEncoder(&body).Encode(payload); err != nil {
 			return nil, fmt.Errorf("wire: encode %s payload: %w", kind, err)
 		}
+		data = body.Bytes()
 	}
 	return &Envelope{
 		Kind:         kind,
 		Auth:         authToken,
 		ID:           id,
 		TimeoutNanos: int64(timeout),
-		Data:         body.Bytes(),
+		Data:         data,
 	}, nil
 }
 
-// WriteEnvelope writes env as one length-prefixed frame and returns the
-// number of bytes written so callers can account transfer costs.
+// frameFormat opens every frame. It can never be the first byte of a gob
+// stream (a gob message length is below 0x80 or at least 0xF8), so a
+// gob-framed peer fails on its first frame.
+const frameFormat = 0xB2
+
+// flagSampled is the TraceSampled bit of the header flags.
+const flagSampled = 1
+
+// framePool recycles encode buffers: NewEnvelope appends a binary payload
+// into one, and WriteEnvelope assembles the length prefix, header and
+// payload in one so each frame costs one Write.
+var framePool = sync.Pool{New: func() interface{} { b := make([]byte, 0, 4096); return &b }}
+
+// maxPooledFrame caps the buffers framePool keeps, so one large frame does
+// not pin its buffer for the life of the process.
+const maxPooledFrame = 1 << 20
+
+// WriteEnvelope writes env as one length-prefixed frame, in a single Write,
+// and returns the number of bytes written so callers can account transfer
+// costs.
 func WriteEnvelope(w io.Writer, env *Envelope) (int, error) {
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(*env); err != nil {
-		return 0, fmt.Errorf("wire: encode %s envelope: %w", env.Kind, err)
-	}
-	if frame.Len() > MaxFrameSize {
+	if len(env.Data) > MaxFrameSize {
 		return 0, ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(frame.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wire: write %s header: %w", env.Kind, err)
+	bp := framePool.Get().(*[]byte)
+	frame := appendFrame((*bp)[:0], env)
+	n, err := 0, error(ErrFrameTooLarge)
+	if len(frame)-4 <= MaxFrameSize {
+		if n, err = w.Write(frame); err != nil {
+			n, err = 0, fmt.Errorf("wire: write %s frame: %w", env.Kind, err)
+		}
 	}
-	n, err := w.Write(frame.Bytes())
-	if err != nil {
-		return 0, fmt.Errorf("wire: write %s frame: %w", env.Kind, err)
+	putFrameBuffer(bp, frame)
+	return n, err
+}
+
+// putFrameBuffer returns a buffer grown from *bp to framePool, unless it
+// grew past maxPooledFrame.
+func putFrameBuffer(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledFrame {
+		*bp = b[:0]
+		framePool.Put(bp)
 	}
-	return 4 + n, nil
+}
+
+// appendFrame appends env as one frame: length prefix, header, payload.
+func appendFrame(b []byte, env *Envelope) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, frameFormat)
+	b = appendField(b, env.Kind)
+	b = appendField(b, env.Auth)
+	b = binary.BigEndian.AppendUint64(b, env.ID)
+	b = binary.BigEndian.AppendUint64(b, uint64(env.TimeoutNanos))
+	b = binary.BigEndian.AppendUint64(b, env.TraceID)
+	b = binary.BigEndian.AppendUint64(b, env.SpanID)
+	var flags byte
+	if env.TraceSampled {
+		flags |= flagSampled
+	}
+	b = append(b, flags)
+	b = append(b, env.Data...)
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b
 }
 
 // ReadFrame reads one envelope. It returns the envelope, its size on the
-// wire, and any error (io.EOF on clean shutdown).
+// wire, and any error (io.EOF on clean shutdown). The envelope's Data
+// aliases a buffer owned by the envelope. Callers on a socket pass a
+// bufio.Reader, so the length prefix and a small frame cost one read.
 func ReadFrame(r io.Reader) (*Envelope, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -419,11 +496,57 @@ func ReadFrame(r io.Reader) (*Envelope, int, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, 0, fmt.Errorf("wire: read frame body: %w", err)
 	}
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(buf)).Decode(&env); err != nil {
+	env, err := parseFrame(buf)
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: decode envelope: %v", ErrMalformed, err)
 	}
-	return &env, 4 + int(size), nil
+	return env, 4 + int(size), nil
+}
+
+// knownKinds interns kind strings, so reading a frame of a known kind does
+// not allocate its Kind.
+var knownKinds = func() map[string]string {
+	m := make(map[string]string)
+	for _, k := range []string{
+		KindCreateRepo, KindUpdate, KindRemove, KindSearch, KindGet, KindAck,
+		KindSearchResp, KindGetResp, KindError, KindHello, KindHelloResp,
+		KindCancel, KindTrainStart, KindTrainStatus, KindTrainWait,
+		KindTrainJobResp, KindTraceGet, KindTraceResp, KindReplSubscribe,
+		KindReplRecords, KindReplAck,
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// parseFrame decodes the header of one frame body; the payload aliases b.
+func parseFrame(b []byte) (*Envelope, error) {
+	if len(b) == 0 || b[0] != frameFormat {
+		return nil, errors.New("unknown frame format")
+	}
+	d := decoder{b: b[1:]}
+	kindBytes := d.field()
+	kind, ok := knownKinds[string(kindBytes)]
+	if !ok {
+		kind = string(kindBytes)
+	}
+	env := &Envelope{Kind: kind, Auth: d.str()}
+	env.ID = d.u64()
+	env.TimeoutNanos = int64(d.u64())
+	env.TraceID = d.u64()
+	env.SpanID = d.u64()
+	flags := d.take(1)
+	if d.err != nil {
+		return nil, d.err
+	}
+	if flags[0]&^flagSampled != 0 {
+		return nil, errFlags
+	}
+	env.TraceSampled = flags[0]&flagSampled != 0
+	if len(d.b) > 0 {
+		env.Data = d.b
+	}
+	return env, nil
 }
 
 // Handshake opens a connection: it sends Hello and reads the peer's answer,
@@ -454,10 +577,38 @@ func Handshake(rw io.ReadWriter) (HelloResp, error) {
 	return hr, nil
 }
 
-// Decode unpacks the envelope payload into v.
+// Decode unpacks the envelope payload into v, with v's binary codec when
+// it has one and as gob otherwise. A payload that does not decode is
+// ErrMalformed.
 func (e *Envelope) Decode(v interface{}) error {
-	if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode %s payload: %w", e.Kind, err)
+	var err error
+	if p, ok := v.(binaryDecoder); ok {
+		d := decoder{b: e.Data}
+		p.decodeBinary(&d)
+		err = d.finish()
+	} else {
+		err = gob.NewDecoder(bytes.NewReader(e.Data)).Decode(v)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: decode %s payload: %v", ErrMalformed, e.Kind, err)
 	}
 	return nil
+}
+
+// RepoID returns the repository a search, get or update frame addresses,
+// read from the leading field of its payload without decoding the rest, so
+// a router can place the request. It returns "" for other kinds and for a
+// payload too short to hold the field.
+func (e *Envelope) RepoID() string {
+	switch e.Kind {
+	case KindSearch, KindGet, KindUpdate:
+	default:
+		return ""
+	}
+	d := decoder{b: e.Data}
+	id := d.field()
+	if d.err != nil {
+		return ""
+	}
+	return string(id)
 }

@@ -145,13 +145,15 @@ func TestDecodeWrongType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Decoding into the wrong payload type errors rather than panics, on
+	// the binary path (the Ack bytes end before SearchResp's hit count) and
+	// on the gob path alike.
 	var wrong SearchResp
-	// gob is forgiving across struct shapes with shared field names; what
-	// must not happen is a panic. Decoding into a fully mismatched type
-	// (different field types) errors.
+	if err := env.Decode(&wrong); !errors.Is(err, ErrMalformed) {
+		t.Errorf("Ack frame into SearchResp: err = %v, want ErrMalformed", err)
+	}
 	var n int
 	if err := env.Decode(&n); err == nil {
 		t.Error("expected error decoding struct into int")
 	}
-	_ = wrong
 }

@@ -148,6 +148,7 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz=FuzzReadFrame -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzEnvelopeDecode -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzReplRecordDecode -fuzztime="$FUZZTIME" ./internal/wire
+    go test -run='^$' -fuzz=FuzzPayloadDecode -fuzztime="$FUZZTIME" ./internal/wire
     go test -run='^$' -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" ./internal/wal
 fi
 
